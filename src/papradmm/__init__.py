@@ -11,10 +11,8 @@ from .dsp import (
     papr,
     papr_db,
 )
-from .params import AdmmParams, db_to_linear, linear_to_db
+from .params import AdmmParams, db_to_linear
 from .subproblems import (
-    BisectionConfig,
-    BisectionError,
     CUpdateResult,
     XUpdateResult,
     c_update,

@@ -12,7 +12,6 @@ from pathlib import Path
 from . import experiments
 from .config import ConfigError, ExperimentConfig
 from .dsp import DegenerateSymbolError
-from .subproblems import BisectionError
 
 _OVERRIDE_FLAGS = {
     "solver": str,
@@ -111,7 +110,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (BisectionError, DegenerateSymbolError, FloatingPointError) as exc:
+    except (DegenerateSymbolError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -103,7 +103,7 @@ def direct_solve(
     bypassed = dsp.papr(x_raw) <= params.alpha
 
     c = c_o.copy()
-    x = x_update(x_raw, params.alpha, params.bisection).x
+    x = x_update(x_raw, params.alpha).x
     y = np.zeros_like(x_raw)
     mu_final = np.zeros(c_o.shape[0])
     done = bypassed.copy()
@@ -121,7 +121,7 @@ def direct_solve(
         c_new = np.where(active[:, None], cres.c, c)
         ac = dsp.ifft_oversampled(c_new, oversample)
         b = ac + y / rho
-        xres = x_update(b, params.alpha, params.bisection)
+        xres = x_update(b, params.alpha)
         x_new = np.where(active[:, None], xres.x, x)
         y_new = np.where(active[:, None], y + rho * (ac - x_new), y)
         mu_final = np.where(active, cres.mu, mu_final)
@@ -222,7 +222,7 @@ def direct_kkt_residual(
         neg_mu = np.maximum(0.0, -mu)
 
     b = x + y / rho
-    z, gamma = z_projection(b, alpha, params.bisection)
+    z, gamma = z_projection(b, alpha)
     cap = np.sqrt(alpha / ln)
     mag_b = np.abs(b)
     clipped = mag_b >= 2.0 * gamma[:, None] * cap

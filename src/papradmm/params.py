@@ -1,17 +1,10 @@
-"""Shared engine parameters and dB helpers."""
+"""Shared engine parameters and the dB-to-linear helper."""
 
-import numpy as np
-from dataclasses import dataclass, field
-
-from .subproblems import BisectionConfig
+from dataclasses import dataclass
 
 
 def db_to_linear(value_db: float) -> float:
     return float(10.0 ** (value_db / 10.0))
-
-
-def linear_to_db(value: float) -> float:
-    return float(10.0 * np.log10(value))
 
 
 @dataclass(frozen=True)
@@ -36,7 +29,6 @@ class AdmmParams:
     rho_tilde: float | None = None
     max_iters: int = 5
     eps: float = 1e-8
-    bisection: BisectionConfig = field(default_factory=BisectionConfig)
 
     def __post_init__(self):
         if self.alpha < 1.0:
@@ -47,7 +39,3 @@ class AdmmParams:
             raise ValueError(f"rho must be > 0, got {self.rho}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-
-    @classmethod
-    def from_db(cls, alpha_db: float, **kwargs) -> "AdmmParams":
-        return cls(alpha=db_to_linear(alpha_db), **kwargs)

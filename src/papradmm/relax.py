@@ -51,8 +51,6 @@ class RelaxReport:
     uw_gap_final: np.ndarray
     u_final: np.ndarray
     w_final: np.ndarray
-    y1_final: np.ndarray
-    y2_final: np.ndarray
     feasible_start: np.ndarray | None = None
 
 
@@ -135,7 +133,7 @@ def feasible_start_state(
     for _ in range(max_rounds):
         if np.all(settled):
             break
-        proj = x_update(x, alpha_inner, params.bisection).x
+        proj = x_update(x, alpha_inner).x
         x_new = dsp.ifft_oversampled(
             dsp.fft_oversampled(proj, oversample), oversample
         )
@@ -193,7 +191,7 @@ def relax_solve(
         c, x, feas = feasible_start_state(c_o, plan, params, oversample)
     else:
         c = c_o.copy()
-        x = x_update(x_raw, params.alpha, params.bisection).x
+        x = x_update(x_raw, params.alpha).x
     # Starting with u = w keeps y1 = rho_tilde*(u - w) = 0 true at the very
     # first state, so the sufficient-descent margin provably covers every
     # sweep, the first one included.
@@ -219,7 +217,7 @@ def relax_solve(
         c_new = np.where(active[:, None], cres.c, c)
         ac = dsp.ifft_oversampled(c_new, oversample)
         b = w - y2 / rho
-        xres = x_update(b, params.alpha, params.bisection)
+        xres = x_update(b, params.alpha)
         x_new = np.where(active[:, None], xres.x, x)
         u_cand, w_cand = uw_update(x_new, ac, y1, y2, rho, rho_tilde)
         u_new = np.where(active[:, None], u_cand, u)
@@ -272,8 +270,6 @@ def relax_solve(
         uw_gap_final=_row_norm(u - w) ** 2,
         u_final=u,
         w_final=w,
-        y1_final=y1,
-        y2_final=y2,
         feasible_start=feas,
     )
     if single:

@@ -6,7 +6,7 @@
 * :func:`z_projection` / :func:`x_update` -- projection of a time-domain point
   onto the set of signals with PAPR at most ``alpha``, via the factorization
   ``x = t*z`` with ``||z||^2 = 1`` and per-sample caps ``|z_i|^2 <= alpha/n``,
-  where the cap multiplier ``gamma`` is found by bisection.
+  where the cap multiplier ``gamma`` is solved exactly from one sort per row.
 * :func:`uw_update` -- closed-form joint minimizer of the two auxiliary
   consensus blocks used by the relaxed engine.
 
@@ -17,33 +17,6 @@ import numpy as np
 from dataclasses import dataclass
 
 from .dsp import CarrierPlan, DegenerateSymbolError, _as_complex
-
-
-class BisectionError(RuntimeError):
-    """The cap-multiplier search failed to bracket or meet its tolerance."""
-
-
-@dataclass(frozen=True)
-class BisectionConfig:
-    """Controls for the scalar search on the cap multiplier ``gamma``.
-
-    ``gamma_right`` is doubled up to ``max_expansions`` times if the initial
-    right edge does not bracket the unit-energy crossing.  ``tol`` bounds the
-    accepted deviation ``| ||z||^2 - 1 |``.
-    """
-
-    gamma_left: float = 0.0
-    gamma_right: float = 100.0
-    max_iters: int = 60
-    tol: float = 1e-8
-    expand_factor: float = 2.0
-    max_expansions: int = 20
-
-    def __post_init__(self):
-        if not self.gamma_left < self.gamma_right:
-            raise ValueError("gamma_left must be < gamma_right")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass
@@ -117,27 +90,30 @@ def c_update(v, plan: CarrierPlan, beta: float, r: float) -> CUpdateResult:
     return CUpdateResult(c=c, mu=mu)
 
 
-def _capped_norm_sq(mag: np.ndarray, gamma: np.ndarray, cap: float) -> np.ndarray:
-    """``||z(gamma)||^2`` for the clip rule, non-increasing in ``gamma``."""
-    scaled = mag / (2.0 * gamma[..., None])
-    return (np.minimum(scaled, cap) ** 2).sum(axis=-1)
-
-
-def z_projection(b, alpha: float, cfg: BisectionConfig | None = None):
+def z_projection(b, alpha: float):
     """Direction of the PAPR projection: maximize ``Re(z^H b)`` on the cap set.
 
     Each entry follows the clip rule ``z_i = b_i/(2*gamma)`` while below the
     cap ``sqrt(alpha/n)`` and saturates at the cap with the phase of ``b_i``
-    otherwise; ``gamma`` is bisected until ``||z||^2 = 1`` within ``cfg.tol``.
-    Returns ``(z, gamma)``.
+    otherwise, with ``gamma`` chosen so that ``||z||^2 = 1``.  Returns
+    ``(z, gamma)``.
+
+    ``gamma`` is solved exactly from one sort per row (the water-filling
+    argument of Duchi et al., ICML 2008, and Condat, Math. Prog. 2016).  With
+    the magnitudes sorted as ``m_(1) >= ... >= m_(n)`` and the ``k`` largest
+    capped, unit energy gives ``2*gamma_k = sqrt(S_k / (1 - k*alpha/n))``,
+    where ``S_k`` sums ``m_(i)^2`` over ``i > k``.  The energy of the clip
+    rule is the minimum over ``k`` of the energies with the top ``k`` capped,
+    so the crossing is the smallest ``gamma_k``; it is also the first ``k``
+    whose uncapped head fits under the cap.  Only ``k`` below the number of
+    nonzero entries is admissible: when all of them sit exactly at the cap,
+    ``k = n_nonzero - 1`` gives that limit.
 
     The phase of a zero entry is taken as 0.  If so many entries of ``b`` are
     zero that even ``gamma -> 0`` cannot reach unit energy, the remaining
     energy is spread uniformly over the zero entries (any such completion is
     optimal) and ``gamma = 0`` is reported.
     """
-    if cfg is None:
-        cfg = BisectionConfig()
     b = _as_complex(b)
     n = b.shape[-1]
     if alpha < 1.0:
@@ -152,7 +128,6 @@ def z_projection(b, alpha: float, cfg: BisectionConfig | None = None):
     n_nonzero = nonzero.sum(axis=-1)
     if np.any(n_nonzero == 0):
         raise DegenerateSymbolError("z_projection input is identically zero")
-    phase = np.where(nonzero, flat / np.where(nonzero, mag, 1.0), 1.0 + 0.0j)
 
     z = np.empty_like(flat)
     gamma = np.empty(flat.shape[0])
@@ -161,55 +136,36 @@ def z_projection(b, alpha: float, cfg: BisectionConfig | None = None):
     # over the zero entries (alpha >= 1 guarantees the caps admit it).
     saturated = n_nonzero * cap_sq < 1.0 - 1e-14
     if np.any(saturated):
-        zs = np.where(nonzero[saturated], cap * phase[saturated], 0.0 + 0.0j)
+        nz = nonzero[saturated]
         n_zero = n - n_nonzero[saturated]
         fill = np.sqrt((1.0 - n_nonzero[saturated] * cap_sq) / n_zero)
-        zs = np.where(nonzero[saturated], zs, fill[..., None].astype(complex))
-        z[saturated] = zs
+        phase = flat[saturated] / np.where(nz, mag[saturated], 1.0)
+        z[saturated] = np.where(nz, cap * phase, fill[:, None])
         gamma[saturated] = 0.0
 
     active = ~saturated
     if np.any(active):
         m = mag[active]
-        lo = np.full(m.shape[0], float(cfg.gamma_left))
-        hi = np.full(m.shape[0], float(cfg.gamma_right))
-        for _ in range(cfg.max_expansions):
-            too_high = _capped_norm_sq(m, hi, cap) > 1.0
-            if not np.any(too_high):
-                break
-            hi[too_high] *= cfg.expand_factor
-        else:
-            if np.any(_capped_norm_sq(m, hi, cap) > 1.0):
-                raise BisectionError(
-                    "could not bracket the unit-energy crossing after "
-                    f"{cfg.max_expansions} right-edge expansions"
-                )
-        mid = 0.5 * (lo + hi)
-        for _ in range(cfg.max_iters):
-            mid = 0.5 * (lo + hi)
-            nsq = _capped_norm_sq(m, mid, cap)
-            if np.all(np.abs(nsq - 1.0) <= cfg.tol):
-                break
-            shrink = nsq < 1.0
-            hi = np.where(shrink, mid, hi)
-            lo = np.where(shrink, lo, mid)
-        za = np.minimum(mag[active] / (2.0 * mid[..., None]), cap) * phase[active]
-        err = np.abs((np.abs(za) ** 2).sum(axis=-1) - 1.0)
-        if np.any(err > cfg.tol):
-            raise BisectionError(
-                f"unit-energy tolerance not met: worst |..-1| = {err.max():.3e} "
-                f"after {cfg.max_iters} bisection steps"
-            )
-        z[active] = za
-        gamma[active] = mid
+        # tail[:, k] = S_k, summed from the smallest magnitude up
+        tail = np.cumsum(np.sort(m, axis=-1) ** 2, axis=-1)[:, ::-1]
+        k = np.arange(n)
+        room = 1.0 - k * cap_sq
+        admissible = (k < n_nonzero[active][:, None]) & (room > 0.0)
+        two_gamma_sq = np.divide(
+            tail, room, out=np.full_like(tail, np.inf), where=admissible
+        )
+        two_gamma = np.sqrt(two_gamma_sq.min(axis=-1))
+        # the clip rule min(|b|/(2*gamma), cap) * phase(b); zeros stay zero
+        z[active] = flat[active] / np.maximum(two_gamma[:, None], m / cap)
+        gamma[active] = 0.5 * two_gamma
 
     return z.reshape(b.shape), gamma.reshape(shape)
 
 
-def x_update(b, alpha: float, cfg: BisectionConfig | None = None) -> XUpdateResult:
+def x_update(b, alpha: float) -> XUpdateResult:
     """Project ``b`` onto the PAPR-limited cone: ``x = t*z``, ``t = max(0, Re(z^H b))``.
 
-    The output satisfies ``papr(x) <= alpha`` up to the bisection tolerance.
+    The output satisfies ``papr(x) <= alpha`` up to rounding.
     All-zero rows of ``b`` are flagged degenerate and mapped to ``x = 0``.
     """
     b = _as_complex(b)
@@ -220,7 +176,7 @@ def x_update(b, alpha: float, cfg: BisectionConfig | None = None) -> XUpdateResu
     z = np.zeros_like(flat)
     gamma = np.full(flat.shape[0], np.nan)
     if np.any(~degenerate):
-        z_ok, gamma_ok = z_projection(flat[~degenerate], alpha, cfg)
+        z_ok, gamma_ok = z_projection(flat[~degenerate], alpha)
         z[~degenerate] = z_ok
         gamma[~degenerate] = gamma_ok
     t = np.maximum(0.0, np.real(np.sum(np.conj(z) * flat, axis=-1)))

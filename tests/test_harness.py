@@ -3,7 +3,16 @@ import pytest
 
 from papradmm.cli import main
 from papradmm.config import ConfigError, ExperimentConfig
-from papradmm import experiments
+from papradmm import dsp, experiments
+from papradmm.direct import direct_solve
+from papradmm.relax import relax_solve
+
+
+def _batch(cfg, n_symbols):
+    plan = experiments.make_plan(cfg)
+    const = dsp.Constellation.from_name(cfg.constellation)
+    bits = experiments.generate_bits(cfg, n_symbols, const, plan)
+    return dsp.map_bits(bits, const, plan), plan
 
 
 class TestConfig:
@@ -62,9 +71,24 @@ class TestDeterminism:
         assert rows1 == rows2
 
     def test_worker_count_does_not_change_results(self):
-        base = ExperimentConfig().with_overrides(n_symbols=64, iterations=3)
-        threaded = base.with_overrides(workers=4)
-        assert experiments.run_table2(base) == experiments.run_table2(threaded)
+        base = ExperimentConfig().with_overrides(iterations=3)
+        c_o, plan = _batch(base, 64)
+        threaded = base.with_overrides(workers=2)
+        for solver in ("direct", "relax"):
+            x1, c1 = experiments.solve_batch(base, solver, c_o, plan)
+            x2, c2 = experiments.solve_batch(threaded, solver, c_o, plan)
+            assert np.array_equal(x1, x2) and np.array_equal(c1, c2), solver
+
+    def test_row_alone_matches_row_in_batch(self):
+        cfg = ExperimentConfig()
+        c_o, plan = _batch(cfg, 400)
+        for solver, solve in (("direct", direct_solve), ("relax", relax_solve)):
+            params = experiments.admm_params(cfg, solver=solver)
+            x_all, c_all, _ = solve(c_o, plan, params, cfg.oversample)
+            for i in (0, 7, 199, 399):
+                x_i, c_i, _ = solve(c_o[i], plan, params, cfg.oversample)
+                assert np.array_equal(x_i, x_all[i]), (solver, i)
+                assert np.array_equal(c_i, c_all[i]), (solver, i)
 
     def test_different_seed_changes_results(self):
         cfg1 = ExperimentConfig().with_overrides(n_symbols=50, iterations=3)
@@ -97,11 +121,11 @@ class TestCli:
         assert "configuration error" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
-        from papradmm.subproblems import BisectionError
         from papradmm import cli
+        from papradmm.dsp import DegenerateSymbolError
 
         def explode(cfg):
-            raise BisectionError("bracketing lost")
+            raise DegenerateSymbolError("input is identically zero")
 
         monkeypatch.setattr(cli.experiments, "run_table2", explode)
         code = main(["table2", "--out", str(tmp_path)])
