@@ -34,7 +34,6 @@ from .rcf import RcfParams, rcf
 from .channel import (
     MultipathProfile,
     SspaParams,
-    awgn,
     channel_frequency_response,
     equalize_zero_forcing,
     multipath_apply,
@@ -42,7 +41,7 @@ from .channel import (
     saturation_amplitude,
     sspa,
 )
-from .metrics import MetricAccumulator, ber, ccdf, evm_db, psd
+from .metrics import MetricAccumulator, ccdf, evm_db, psd
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,7 @@
-"""Transmitter back end and channel models: SSPA, AWGN, multipath, equalizer."""
+"""Transmitter back end and channel models: SSPA, multipath, equalizer.
+
+The drivers add receiver noise themselves (``experiments._noise_batch``).
+"""
 
 import numpy as np
 from dataclasses import dataclass
@@ -54,16 +57,6 @@ def noise_variance_per_sample(ebn0_db: float, eb: float, n_samples: int) -> floa
     return n0 / n_samples
 
 
-def awgn(x, noise_var: float, rng: np.random.Generator) -> np.ndarray:
-    """Add circular complex Gaussian noise of the given per-sample variance."""
-    x = dsp._as_complex(x)
-    scale = np.sqrt(noise_var / 2.0)
-    noise = rng.normal(scale=scale, size=x.shape) + 1j * rng.normal(
-        scale=scale, size=x.shape
-    )
-    return x + noise
-
-
 @dataclass(frozen=True)
 class MultipathProfile:
     """Static tap-delay line; delays in ns on the oversampled grid.
@@ -93,12 +86,12 @@ class MultipathProfile:
         return h
 
 
-def multipath_apply(x, h: np.ndarray, cp_len: int, rng=None, noise_var: float = 0.0):
+def multipath_apply(x, h: np.ndarray, cp_len: int):
     """Send symbols through the FIR channel with a cyclic prefix.
 
     Per symbol: prepend the last ``cp_len`` samples, convolve with ``h``,
-    add noise if requested, and strip the prefix again, which renders the
-    channel circular.  Returns the received symbol batch.
+    and strip the prefix again, which renders the channel circular.
+    Returns the received, noiseless symbol batch.
     """
     x = np.atleast_2d(dsp._as_complex(x))
     if cp_len < len(h) - 1:
@@ -108,8 +101,6 @@ def multipath_apply(x, h: np.ndarray, cp_len: int, rng=None, noise_var: float = 
     n = x.shape[-1]
     with_cp = np.concatenate([x[..., n - cp_len:], x], axis=-1)
     full = signal.lfilter(h, [1.0], with_cp, axis=-1)
-    if noise_var > 0.0:
-        full = awgn(full, noise_var, rng)
     return full[..., cp_len : cp_len + n]
 
 

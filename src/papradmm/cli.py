@@ -14,7 +14,6 @@ from .config import ConfigError, ExperimentConfig
 from .dsp import DegenerateSymbolError
 
 _OVERRIDE_FLAGS = {
-    "solver": str,
     "beta": float,
     "alpha_db": float,
     "rho": float,

@@ -17,11 +17,13 @@ class ExperimentConfig:
     """All knobs of the Monte Carlo drivers, with the stock defaults.
 
     ``rho``/``rho_tilde`` default to the per-solver standards (100 for the
-    direct engine, 300/100 for the relaxed one) when left unset.
+    direct engine, 300/100 for the relaxed one) when left unset.  Every
+    driver runs every solver, so the relaxed engine's ``rho > 2*rho_tilde >
+    0`` is checked for every configuration.  The data-carrier count is
+    ``n_carriers - n_free``.
     """
 
     n_carriers: int = 64
-    n_data: int = 52
     n_free: int = 12
     oversample: int = 4
     constellation: str = "16qam"
@@ -29,7 +31,6 @@ class ExperimentConfig:
     alpha_db: float = 4.0
     beta: float = 0.15
     beta_grid: tuple = (0.0, 0.15, 0.3)
-    solver: str = "direct"
     rho: float | None = None
     rho_tilde: float | None = None
     iterations: int = 5
@@ -55,17 +56,14 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     _FLOAT_TUPLES = ("beta_grid", "ebn0_db", "bench_sizes")
-    _SOLVERS = ("direct", "relax", "rcf", "none")
     _CHANNELS = ("awgn", "multipath")
 
     def validate(self) -> "ExperimentConfig":
-        if self.n_data + self.n_free != self.n_carriers:
+        if not 0 < self.n_free < self.n_carriers:
             raise ConfigError(
-                f"n_data ({self.n_data}) + n_free ({self.n_free}) "
-                f"!= n_carriers ({self.n_carriers})"
+                f"n_free ({self.n_free}) must be in 1..n_carriers-1 "
+                f"(n_carriers = {self.n_carriers})"
             )
-        if self.solver not in self._SOLVERS:
-            raise ConfigError(f"unknown solver {self.solver!r}; pick from {self._SOLVERS}")
         if self.channel not in self._CHANNELS:
             raise ConfigError(f"unknown channel {self.channel!r}")
         if self.alpha_db <= 0:
@@ -76,18 +74,17 @@ class ExperimentConfig:
             raise ConfigError("oversample must be >= 1")
         if self.n_symbols < 1 or self.iterations < 0:
             raise ConfigError("n_symbols must be >= 1 and iterations >= 0")
-        rho, rho_tilde = self.resolved_penalties()
-        if self.solver == "relax" and rho <= 2.0 * rho_tilde:
+        rho, rho_tilde = self.resolved_penalties("relax")
+        if rho_tilde <= 0.0 or rho <= 2.0 * rho_tilde:
             raise ConfigError(
-                f"relax solver needs rho > 2*rho_tilde (got {rho}, {rho_tilde})"
+                f"relax solver needs rho > 2*rho_tilde > 0 (got {rho}, {rho_tilde})"
             )
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         return self
 
-    def resolved_penalties(self, solver: str | None = None) -> tuple:
+    def resolved_penalties(self, solver: str) -> tuple:
         """(rho, rho_tilde) with per-solver defaults filled in."""
-        solver = solver or self.solver
         if solver == "relax":
             return (
                 self.rho if self.rho is not None else 300.0,

@@ -9,9 +9,11 @@ projection, and a dual ascent step on the coupling ``Ac = x``:
     x' = x_update(b)
     y' = y + rho * (F^-1(c') - x')
 
-Symbols whose raw PAPR already meets the target are passed through untouched.
-Convergence of this engine is an empirical observation, not a guarantee; the
-per-run KKT residual quantifies the quality of whatever point it reaches.
+Symbols whose raw PAPR already meets the target are passed through untouched
+(see :mod:`papradmm.sweep` for the loop around the sweep).  Convergence of
+this engine is an empirical observation, not a guarantee;
+:func:`direct_kkt_residual` quantifies the quality of whatever point a run
+reaches.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from . import dsp
 from .params import AdmmParams
 from .subproblems import c_update, x_update, z_projection
+from .sweep import row_norm, run_sweeps
 
 
 @dataclass
@@ -42,32 +45,23 @@ class DirectReport:
     gamma: np.ndarray
     y_final: np.ndarray
     mu_final: np.ndarray
-    kkt_residual: np.ndarray | None = None
 
 
-def _row_norm(a: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(a, axis=-1)
+def augmented_lagrangian(c, ac, x, y, c_o, plan, rho: float) -> np.ndarray:
+    """Objective plus linear and quadratic coupling terms, per symbol.
 
-
-def augmented_lagrangian(c, x, y, c_o, plan, rho: float, oversample: int) -> np.ndarray:
-    """Objective plus linear and quadratic coupling terms, per symbol."""
-    ac = dsp.ifft_oversampled(c, oversample)
+    ``ac`` is the modulated ``c`` (``A c``), which the sweep already holds.
+    """
     gap = ac - x
-    dist = _row_norm((c - c_o)[..., plan.data_idx]) ** 2
+    dist = row_norm((c - c_o)[..., plan.data_idx]) ** 2
     return (
         0.5 * dist
         + np.real(np.sum(np.conj(y) * gap, axis=-1))
-        + 0.5 * rho * _row_norm(gap) ** 2
+        + 0.5 * rho * row_norm(gap) ** 2
     )
 
 
-def direct_solve(
-    c_o,
-    plan: dsp.CarrierPlan,
-    params: AdmmParams,
-    oversample: int,
-    compute_kkt: bool = True,
-):
+def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int):
     """Run the direct engine on a batch of symbols.
 
     Parameters
@@ -77,88 +71,63 @@ def direct_solve(
     plan, params, oversample
         Carrier partition, engine parameters and over-sampling factor.  A
         symbol stops once its squared step ``||dc||^2 + ||dx||^2`` falls
-        below ``params.eps``; for ``kkt_residual`` to certify a bound
-        ``tau``, pick ``params.eps`` of about ``tau**2`` or less.
-    compute_kkt : bool
-        Attach the per-symbol KKT residual to the report (costs one extra
-        projection pass; timing runs switch it off).
+        below ``params.eps``; for :func:`direct_kkt_residual` to certify a
+        bound ``tau``, pick ``params.eps`` of about ``tau**2`` or less.
 
     Returns
     -------
     (x, c, report)
         Transmit-ready time symbols, their carrier-domain counterparts for
-        distortion accounting, and a :class:`DirectReport`.
+        distortion accounting, and a :class:`DirectReport`.  The KKT
+        residual of the run is
+        ``direct_kkt_residual(c_o, plan, params, oversample, c, x,
+        report.y_final, report.mu_final)``.
     """
-    c_o = dsp._as_complex(c_o)
-    single = c_o.ndim == 1
-    c_o = np.atleast_2d(c_o)
-    if np.any(np.abs(c_o[..., plan.free_idx]) > 0):
-        raise ValueError("input symbols must have zero free carriers")
-    n = plan.n_carriers
-    ln = n * oversample
     rho = params.rho
-    r = rho / ln
+    r = rho / (plan.n_carriers * oversample)
 
-    x_raw = dsp.ifft_oversampled(c_o, oversample)
-    bypassed = dsp.papr(x_raw) <= params.alpha
+    def start(c_o, x_raw):
+        return {
+            "c": c_o,
+            "x": x_update(x_raw, params.alpha).x,
+            "y": np.zeros_like(x_raw),
+            "mu": np.zeros(c_o.shape[0]),
+        }
 
-    c = c_o.copy()
-    x = x_update(x_raw, params.alpha).x
-    y = np.zeros_like(x_raw)
-    mu_final = np.zeros(c_o.shape[0])
-    done = bypassed.copy()
-
-    trace = {k: [] for k in ("primal", "change", "lagr", "mu", "gamma")}
-    iters_run = 0
-    for _ in range(params.max_iters):
-        if np.all(done):
-            break
-        iters_run += 1
-        active = ~done
-
+    def step(c_o, s, where_active):
+        x, y = s["x"], s["y"]
         v = c_o + r * dsp.fft_oversampled(x - y / rho, oversample)
         cres = c_update(v, plan, params.beta, r)
-        c_new = np.where(active[:, None], cres.c, c)
+        c_new = where_active(cres.c, s["c"])
         ac = dsp.ifft_oversampled(c_new, oversample)
-        b = ac + y / rho
-        xres = x_update(b, params.alpha)
-        x_new = np.where(active[:, None], xres.x, x)
-        y_new = np.where(active[:, None], y + rho * (ac - x_new), y)
-        mu_final = np.where(active, cres.mu, mu_final)
+        xres = x_update(ac + y / rho, params.alpha)
+        x_new = where_active(xres.x, x)
+        y_new = where_active(y + rho * (ac - x_new), y)
+        change = row_norm(c_new - s["c"]) ** 2 + row_norm(x_new - x) ** 2
+        trace = {
+            "primal": where_active(row_norm(ac - x_new), 0.0),
+            "lagr": augmented_lagrangian(c_new, ac, x_new, y_new, c_o, plan, rho),
+            "mu": where_active(cres.mu, np.nan),
+            "gamma": where_active(xres.gamma, np.nan),
+        }
+        mu = where_active(cres.mu, s["mu"])
+        return {"c": c_new, "x": x_new, "y": y_new, "mu": mu}, change, trace
 
-        change = _row_norm(c_new - c) ** 2 + _row_norm(x_new - x) ** 2
-        trace["primal"].append(np.where(active, _row_norm(ac - x_new), 0.0))
-        trace["change"].append(change)
-        trace["lagr"].append(
-            augmented_lagrangian(c_new, x_new, y_new, c_o, plan, rho, oversample)
+    sweeps = run_sweeps(c_o, plan, params, oversample, start, step)
+    return sweeps.result(
+        DirectReport(
+            iterations=sweeps.iterations,
+            bypassed=sweeps.bypassed,
+            converged=sweeps.converged,
+            primal_residual=sweeps.trace("primal"),
+            change_residual=sweeps.residual,
+            lagrangian=sweeps.trace("lagr"),
+            mu=sweeps.trace("mu"),
+            gamma=sweeps.trace("gamma"),
+            y_final=sweeps.state["y"],
+            mu_final=sweeps.state["mu"],
         )
-        trace["mu"].append(np.where(active, cres.mu, np.nan))
-        trace["gamma"].append(np.where(active, xres.gamma, np.nan))
-
-        c, x, y = c_new, x_new, y_new
-        done = done | (active & (change < params.eps))
-
-    x_out = np.where(bypassed[:, None], x_raw, x)
-    c_out = np.where(bypassed[:, None], c_o, c)
-    report = DirectReport(
-        iterations=iters_run,
-        bypassed=bypassed,
-        converged=done,
-        primal_residual=np.array(trace["primal"]),
-        change_residual=np.array(trace["change"]),
-        lagrangian=np.array(trace["lagr"]),
-        mu=np.array(trace["mu"]),
-        gamma=np.array(trace["gamma"]),
-        y_final=y,
-        mu_final=mu_final,
     )
-    if compute_kkt:
-        report.kkt_residual = direct_kkt_residual(
-            c_o, plan, params, oversample, c_out, x_out, y, mu_final
-        )
-    if single:
-        return x_out[0], c_out[0], report
-    return x_out, c_out, report
 
 
 def direct_kkt_residual(
@@ -196,15 +165,15 @@ def direct_kkt_residual(
     alpha, beta, rho = params.alpha, params.beta, params.rho
 
     ac = dsp.ifft_oversampled(c, oversample)
-    primal = _row_norm(ac - x)
+    primal = row_norm(ac - x)
 
     ah_y = dsp.fft_oversampled(y, oversample) / ln
     diff = c - c_o + ah_y
     if beta == 0.0:
         # Free carriers are pinned by an equality constraint whose multiplier
         # absorbs any gradient there; stationarity is checked on data bins.
-        grad_c = _row_norm(diff[..., plan.data_idx])
-        slack = _row_norm(c[..., plan.free_idx]) ** 2
+        grad_c = row_norm(diff[..., plan.data_idx])
+        slack = row_norm(c[..., plan.free_idx]) ** 2
         neg_mu = np.zeros_like(primal)
     else:
         grad = diff.copy()
@@ -215,9 +184,9 @@ def direct_kkt_residual(
             diff[..., plan.data_idx]
             - 2.0 * (mu * beta)[:, None] * c[..., plan.data_idx]
         )
-        grad_c = _row_norm(grad)
-        f_sq = _row_norm(c[..., plan.free_idx]) ** 2
-        d_sq = _row_norm(c[..., plan.data_idx]) ** 2
+        grad_c = row_norm(grad)
+        f_sq = row_norm(c[..., plan.free_idx]) ** 2
+        d_sq = row_norm(c[..., plan.data_idx]) ** 2
         slack = np.abs(mu * (f_sq - beta * d_sq))
         neg_mu = np.maximum(0.0, -mu)
 
@@ -233,6 +202,6 @@ def direct_kkt_residual(
     grad_x = -y + 2.0 * d_mult * x - (2.0 * alpha / ln) * d_mult.sum(
         axis=-1, keepdims=True
     ) * x
-    grad_x_norm = _row_norm(grad_x)
+    grad_x_norm = row_norm(grad_x)
 
     return np.max(np.stack([primal, grad_c, grad_x_norm, slack, neg_mu]), axis=0)

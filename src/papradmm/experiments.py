@@ -52,7 +52,7 @@ def generate_bits(cfg: ExperimentConfig, n_symbols: int, const, plan) -> np.ndar
 
 
 def admm_params(
-    cfg: ExperimentConfig, solver=None, beta=None, iterations=None, eps=None
+    cfg: ExperimentConfig, solver: str, beta=None, iterations=None, eps=None
 ) -> AdmmParams:
     rho, rho_tilde = cfg.resolved_penalties(solver)
     return AdmmParams(
@@ -79,7 +79,7 @@ def _solve_chunk(cfg, solver, c_o, plan, beta=None):
         return x, dsp.fft_oversampled(x, cfg.oversample)
     params = admm_params(cfg, solver=solver, beta=beta)
     if solver == "direct":
-        x, c, _ = direct_solve(c_o, plan, params, cfg.oversample, compute_kkt=False)
+        x, c, _ = direct_solve(c_o, plan, params, cfg.oversample)
     else:
         x, c, _ = relax_solve(c_o, plan, params, cfg.oversample)
     return x, c
@@ -168,7 +168,7 @@ def run_convergence(cfg: ExperimentConfig):
     iters = max(cfg.iterations, 15)
     rows = [("solver", "iteration", "median_residual")]
     params = admm_params(cfg, solver="direct", iterations=iters, eps=0.0)
-    _, _, rep = direct_solve(c_o, plan, params, cfg.oversample, compute_kkt=False)
+    _, _, rep = direct_solve(c_o, plan, params, cfg.oversample)
     for k in range(rep.change_residual.shape[0]):
         rows.append(("direct", k + 1, float(np.median(rep.change_residual[k]))))
     rparams = admm_params(cfg, solver="relax", iterations=iters, eps=0.0)
@@ -309,17 +309,17 @@ def run_bench(cfg: ExperimentConfig):
         const = dsp.Constellation.qpsk()
         bits = rng.integers(0, 2, size=(cfg.bench_batch, plan.n_data * 2))
         c_o = dsp.map_bits(bits, const, plan)
-        params_warm = admm_params(cfg, iterations=1, eps=0.0)
-        direct_solve(c_o, plan, params_warm, cfg.oversample, compute_kkt=False)
+        params_warm = admm_params(cfg, solver="direct", iterations=1, eps=0.0)
+        direct_solve(c_o, plan, params_warm, cfg.oversample)
         iters = 8
-        params = admm_params(cfg, iterations=iters, eps=0.0)
-        params0 = admm_params(cfg, iterations=0, eps=0.0)
+        params = admm_params(cfg, solver="direct", iterations=iters, eps=0.0)
+        params0 = admm_params(cfg, solver="direct", iterations=0, eps=0.0)
         best = np.inf
         for _ in range(cfg.bench_repeats):
             t0 = time.perf_counter()
-            direct_solve(c_o, plan, params, cfg.oversample, compute_kkt=False)
+            direct_solve(c_o, plan, params, cfg.oversample)
             t1 = time.perf_counter()
-            direct_solve(c_o, plan, params0, cfg.oversample, compute_kkt=False)
+            direct_solve(c_o, plan, params0, cfg.oversample)
             t2 = time.perf_counter()
             per_iter = ((t1 - t0) - (t2 - t1)) / iters
             best = min(best, per_iter)

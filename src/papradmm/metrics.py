@@ -1,7 +1,7 @@
 """Link-quality metrics: EVM, PAPR CCDF, BER and spectral density."""
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from scipy import signal
 
 from . import dsp
@@ -33,15 +33,6 @@ def ccdf(samples_db, thresholds_db) -> np.ndarray:
     thresholds = np.asarray(thresholds_db, dtype=float)
     above = samples.size - np.searchsorted(samples, thresholds, side="right")
     return above / samples.size
-
-
-def ber(tx_bits, rx_bits) -> float:
-    """Hamming error fraction between two equal-length bit streams."""
-    tx = np.asarray(tx_bits).ravel()
-    rx = np.asarray(rx_bits).ravel()
-    if tx.shape != rx.shape:
-        raise ValueError(f"bit streams differ in length: {tx.size} vs {rx.size}")
-    return float(np.mean(tx != rx))
 
 
 def psd(
@@ -81,31 +72,10 @@ def psd(
 
 @dataclass
 class MetricAccumulator:
-    """Mergeable per-worker metric state.
+    """Bit-error counts of one BER point."""
 
-    Workers fill independent accumulators over disjoint symbol chunks and the
-    reducer merges them in symbol order, so the totals never depend on the
-    worker count.
-    """
-
-    papr_db: list = field(default_factory=list)
-    evm_sq_sum: float = 0.0
-    evm_count: int = 0
     bit_errors: int = 0
     bits_total: int = 0
-    psd_sum: np.ndarray | None = None
-    psd_count: int = 0
-
-    def add_papr(self, values_db):
-        self.papr_db.extend(np.atleast_1d(values_db).tolist())
-
-    def add_evm(self, c, c_o, plan: dsp.CarrierPlan):
-        c = np.atleast_2d(dsp._as_complex(c))
-        c_o = np.atleast_2d(dsp._as_complex(c_o))
-        num = np.linalg.norm((c - c_o)[..., plan.data_idx], axis=-1) ** 2
-        den = np.linalg.norm(c_o, axis=-1) ** 2
-        self.evm_sq_sum += float(np.sum(num / den))
-        self.evm_count += c.shape[0]
 
     def add_bits(self, tx_bits, rx_bits):
         tx = np.asarray(tx_bits).ravel()
@@ -114,37 +84,6 @@ class MetricAccumulator:
             raise ValueError("bit streams differ in length")
         self.bit_errors += int(np.sum(tx != rx))
         self.bits_total += tx.size
-
-    def add_psd(self, pxx):
-        pxx = np.asarray(pxx, dtype=float)
-        if self.psd_sum is None:
-            self.psd_sum = pxx.copy()
-        else:
-            self.psd_sum = self.psd_sum + pxx
-        self.psd_count += 1
-
-    def merge(self, other: "MetricAccumulator") -> "MetricAccumulator":
-        out = MetricAccumulator(
-            papr_db=self.papr_db + other.papr_db,
-            evm_sq_sum=self.evm_sq_sum + other.evm_sq_sum,
-            evm_count=self.evm_count + other.evm_count,
-            bit_errors=self.bit_errors + other.bit_errors,
-            bits_total=self.bits_total + other.bits_total,
-            psd_count=self.psd_count + other.psd_count,
-        )
-        if self.psd_sum is None:
-            out.psd_sum = None if other.psd_sum is None else other.psd_sum.copy()
-        elif other.psd_sum is None:
-            out.psd_sum = self.psd_sum.copy()
-        else:
-            out.psd_sum = self.psd_sum + other.psd_sum
-        return out
-
-    @property
-    def evm_value_db(self) -> float:
-        if self.evm_count == 0 or self.evm_sq_sum == 0.0:
-            return -np.inf
-        return float(10.0 * np.log10(self.evm_sq_sum / self.evm_count))
 
     @property
     def ber_value(self) -> float:

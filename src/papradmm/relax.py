@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from . import dsp
 from .params import AdmmParams
 from .subproblems import c_update, uw_update, x_update
+from .sweep import row_norm, run_sweeps
 
 
 @dataclass
@@ -88,22 +89,20 @@ def multiplier_identity_residual(u, w, y1, y2, rho_tilde: float) -> np.ndarray:
     return np.maximum(r1, r2)
 
 
-def _row_norm(a: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(a, axis=-1)
+def relax_lagrangian(c, ac, x, u, w, y1, y2, c_o, plan, rho, rho_tilde):
+    """Augmented Lagrangian of the relaxed model, per symbol.
 
-
-def relax_lagrangian(c, x, u, w, y1, y2, c_o, plan, rho, rho_tilde, oversample):
-    """Augmented Lagrangian of the relaxed model, per symbol."""
-    ac = dsp.ifft_oversampled(c, oversample)
+    ``ac`` is the modulated ``c`` (``A c``), which the sweep already holds.
+    """
     gap_u = ac - u
     gap_w = x - w
-    dist = _row_norm((c - c_o)[..., plan.data_idx]) ** 2
+    dist = row_norm((c - c_o)[..., plan.data_idx]) ** 2
     return (
         0.5 * dist
         + np.real(np.sum(np.conj(y1) * gap_u, axis=-1))
         + np.real(np.sum(np.conj(y2) * gap_w, axis=-1))
-        + 0.5 * rho_tilde * _row_norm(u - w) ** 2
-        + 0.5 * rho * (_row_norm(gap_u) ** 2 + _row_norm(gap_w) ** 2)
+        + 0.5 * rho_tilde * row_norm(u - w) ** 2
+        + 0.5 * rho * (row_norm(gap_u) ** 2 + row_norm(gap_w) ** 2)
     )
 
 
@@ -141,8 +140,8 @@ def feasible_start_state(
         settled = settled | (dsp.papr(x) <= params.alpha)
     c1 = dsp.fft_oversampled(x, oversample)
     x1 = dsp.ifft_oversampled(c1, oversample)
-    f_sq = _row_norm(c1[..., plan.free_idx]) ** 2
-    d_sq = _row_norm(c1[..., plan.data_idx]) ** 2
+    f_sq = row_norm(c1[..., plan.free_idx]) ** 2
+    d_sq = row_norm(c1[..., plan.data_idx]) ** 2
     fcpo_ok = f_sq <= params.beta * d_sq * (1.0 + rel_tol) + 1e-30
     papr_ok = dsp.papr(x1) <= params.alpha * (1.0 + rel_tol)
     return c1, x1, papr_ok & fcpo_ok
@@ -173,108 +172,87 @@ def relax_solve(
             f"descent requires rho > 2*rho_tilde, got rho={params.rho}, "
             f"rho_tilde={params.rho_tilde}"
         )
-    c_o = dsp._as_complex(c_o)
-    single = c_o.ndim == 1
-    c_o = np.atleast_2d(c_o)
-    if np.any(np.abs(c_o[..., plan.free_idx]) > 0):
-        raise ValueError("input symbols must have zero free carriers")
-    n = plan.n_carriers
-    ln = n * oversample
     rho, rho_tilde = params.rho, params.rho_tilde
-    r = rho / ln
+    r = rho / (plan.n_carriers * oversample)
 
-    x_raw = dsp.ifft_oversampled(c_o, oversample)
-    bypassed = dsp.papr(x_raw) <= params.alpha
+    def start(c_o, x_raw):
+        feas = None
+        if feasible_start:
+            c, x, feas = feasible_start_state(c_o, plan, params, oversample)
+        else:
+            c = c_o
+            x = x_update(x_raw, params.alpha).x
+        # Starting with u = w keeps y1 = rho_tilde*(u - w) = 0 true at the very
+        # first state, so the sufficient-descent margin provably covers every
+        # sweep, the first one included.
+        ac = dsp.ifft_oversampled(c, oversample)
+        u = 0.5 * (ac + x)
+        y = np.zeros_like(u)
+        lagr = relax_lagrangian(c, ac, x, u, u, y, y, c_o, plan, rho, rho_tilde)
+        return {
+            "c": c, "ac": ac, "x": x, "u": u, "w": u, "y1": y, "y2": y,
+            "lagr": lagr,
+            "lagr_initial": lagr,
+            "sd_dist_initial": row_norm((c - c_o)[..., plan.data_idx]) ** 2,
+            "feasible_start": feas,
+        }
 
-    feas = None
-    if feasible_start:
-        c, x, feas = feasible_start_state(c_o, plan, params, oversample)
-    else:
-        c = c_o.copy()
-        x = x_update(x_raw, params.alpha).x
-    # Starting with u = w keeps y1 = rho_tilde*(u - w) = 0 true at the very
-    # first state, so the sufficient-descent margin provably covers every
-    # sweep, the first one included.
-    u = 0.5 * (dsp.ifft_oversampled(c, oversample) + x)
-    w = u.copy()
-    y1 = np.zeros_like(u)
-    y2 = np.zeros_like(u)
-    mu_final = np.zeros(c_o.shape[0])
-    done = bypassed.copy()
-
-    sd_dist_initial = _row_norm((c - c_o)[..., plan.data_idx]) ** 2
-    lagr = [relax_lagrangian(c, x, u, w, y1, y2, c_o, plan, rho, rho_tilde, oversample)]
-    trace = {k: [] for k in ("residual", "lhs", "rhs", "ident", "mu", "gamma")}
-    iters_run = 0
-    for _ in range(params.max_iters):
-        if np.all(done):
-            break
-        iters_run += 1
-        active = ~done
-
+    def step(c_o, s, where_active):
+        u, w, y1, y2 = s["u"], s["w"], s["y1"], s["y2"]
         v = c_o + r * dsp.fft_oversampled(u - y1 / rho, oversample)
         cres = c_update(v, plan, params.beta, r)
-        c_new = np.where(active[:, None], cres.c, c)
-        ac = dsp.ifft_oversampled(c_new, oversample)
-        b = w - y2 / rho
-        xres = x_update(b, params.alpha)
-        x_new = np.where(active[:, None], xres.x, x)
-        u_cand, w_cand = uw_update(x_new, ac, y1, y2, rho, rho_tilde)
-        u_new = np.where(active[:, None], u_cand, u)
-        w_new = np.where(active[:, None], w_cand, w)
-        y1_new = np.where(active[:, None], y1 + rho * (ac - u_new), y1)
-        y2_new = np.where(active[:, None], y2 + rho * (x_new - w_new), y2)
-        mu_final = np.where(active, cres.mu, mu_final)
+        c = where_active(cres.c, s["c"])
+        ac = dsp.ifft_oversampled(c, oversample)
+        xres = x_update(w - y2 / rho, params.alpha)
+        x = where_active(xres.x, s["x"])
+        u_cand, w_cand = uw_update(x, ac, y1, y2, rho, rho_tilde)
+        u_new = where_active(u_cand, u)
+        w_new = where_active(w_cand, w)
+        y1_new = where_active(y1 + rho * (ac - u_new), y1)
+        y2_new = where_active(y2 + rho * (x - w_new), y2)
 
-        residual = _row_norm(u_new - u) ** 2 + _row_norm(w_new - w) ** 2
-        lagr.append(
-            relax_lagrangian(
-                c_new, x_new, u_new, w_new, y1_new, y2_new,
-                c_o, plan, rho, rho_tilde, oversample,
-            )
+        du_sq = row_norm(u_new - u) ** 2
+        dw_sq = row_norm(w_new - w) ** 2
+        lagr = relax_lagrangian(
+            c, ac, x, u_new, w_new, y1_new, y2_new, c_o, plan, rho, rho_tilde
         )
-        lhs, rhs, _ = descent_check(
-            lagr[-2], lagr[-1],
-            _row_norm(u_new - u) ** 2, _row_norm(w_new - w) ** 2,
-            rho, rho_tilde,
-        )
-        trace["residual"].append(residual)
-        trace["lhs"].append(lhs)
-        trace["rhs"].append(rhs)
-        trace["ident"].append(
-            multiplier_identity_residual(u_new, w_new, y1_new, y2_new, rho_tilde)
-        )
-        trace["mu"].append(np.where(active, cres.mu, np.nan))
-        trace["gamma"].append(np.where(active, xres.gamma, np.nan))
+        lhs, rhs, _ = descent_check(s["lagr"], lagr, du_sq, dw_sq, rho, rho_tilde)
+        trace = {
+            "lagr": lagr,
+            "lhs": lhs,
+            "rhs": rhs,
+            "ident": multiplier_identity_residual(u_new, w_new, y1_new, y2_new, rho_tilde),
+            "mu": where_active(cres.mu, np.nan),
+            "gamma": where_active(xres.gamma, np.nan),
+        }
+        new = dict(s, c=c, ac=ac, x=x, u=u_new, w=w_new, y1=y1_new, y2=y2_new, lagr=lagr)
+        return new, du_sq + dw_sq, trace
 
-        c, x, u, w, y1, y2 = c_new, x_new, u_new, w_new, y1_new, y2_new
-        done = done | (active & (residual < params.eps))
-
-    x_out = np.where(bypassed[:, None], x_raw, x)
-    c_out = np.where(bypassed[:, None], c_o, c)
-    ac_final = dsp.ifft_oversampled(c_out, oversample)
-    report = RelaxReport(
-        iterations=iters_run,
-        bypassed=bypassed,
-        converged=done,
-        residual=np.array(trace["residual"]),
-        lagrangian=np.array(lagr),
-        descent_lhs=np.array(trace["lhs"]),
-        descent_rhs=np.array(trace["rhs"]),
-        identity_residual=np.array(trace["ident"]),
-        mu=np.array(trace["mu"]),
-        gamma=np.array(trace["gamma"]),
-        consensus_gap=_row_norm(ac_final - x_out) ** 2,
-        sd_dist_initial=sd_dist_initial,
-        sd_dist_final=_row_norm((c_out - c_o)[..., plan.data_idx]) ** 2,
-        uw_gap_final=_row_norm(u - w) ** 2,
-        u_final=u,
-        w_final=w,
-        feasible_start=feas,
+    sweeps = run_sweeps(c_o, plan, params, oversample, start, step)
+    s = sweeps.state
+    # A bypassed row transmits x_raw = A c_o, so its coupling gap is zero.
+    ac_final = np.where(sweeps.bypassed[:, None], sweeps.x, s["ac"])
+    return sweeps.result(
+        RelaxReport(
+            iterations=sweeps.iterations,
+            bypassed=sweeps.bypassed,
+            converged=sweeps.converged,
+            residual=sweeps.residual,
+            lagrangian=np.array([s["lagr_initial"], *sweeps.trace("lagr")]),
+            descent_lhs=sweeps.trace("lhs"),
+            descent_rhs=sweeps.trace("rhs"),
+            identity_residual=sweeps.trace("ident"),
+            mu=sweeps.trace("mu"),
+            gamma=sweeps.trace("gamma"),
+            consensus_gap=row_norm(ac_final - sweeps.x) ** 2,
+            sd_dist_initial=s["sd_dist_initial"],
+            sd_dist_final=row_norm((sweeps.c - sweeps.c_o)[..., plan.data_idx]) ** 2,
+            uw_gap_final=row_norm(s["u"] - s["w"]) ** 2,
+            u_final=s["u"],
+            w_final=s["w"],
+            feasible_start=s["feasible_start"],
+        )
     )
-    if single:
-        return x_out[0], c_out[0], report
-    return x_out, c_out, report
 
 
 def iteration_complexity_bound(report: RelaxReport, params: AdmmParams, eps: float):

@@ -18,6 +18,7 @@ from papradmm import (
     Constellation,
     ccdf,
     c_update,
+    direct_kkt_residual,
     direct_solve,
     evm_db,
     fft_oversampled,
@@ -73,7 +74,7 @@ def table2_runs(monte_carlo_batch):
         x, c, _ = direct_solve(
             monte_carlo_batch, PLAN,
             AdmmParams(alpha=ALPHA, beta=beta, rho=100.0, max_iters=5),
-            OVERSAMPLE, compute_kkt=False,
+            OVERSAMPLE,
         )
         runs[("direct", beta)] = (x, c, time.perf_counter() - t0)
         t0 = time.perf_counter()
@@ -207,7 +208,7 @@ def test_criterion_6_direct_kkt_diagnostic():
     """
     c_o = _symbols(100, seed=SEED + 3)
     params = AdmmParams(alpha=ALPHA, beta=0.15, rho=100.0, max_iters=500, eps=1e-12)
-    _, _, rep = direct_solve(c_o, PLAN, params, OVERSAMPLE)
+    x, c, rep = direct_solve(c_o, PLAN, params, OVERSAMPLE)
     qualifying = rep.converged & ~rep.bypassed
     n_qualifying = int(qualifying.sum())
     if n_qualifying < 25:
@@ -217,7 +218,10 @@ def test_criterion_6_direct_kkt_diagnostic():
             "within 500 sweeps (need 25)",
         )
         assert n_qualifying >= 25, f"only {n_qualifying} qualifying runs"
-    worst = float(rep.kkt_residual[qualifying].max())
+    kkt = direct_kkt_residual(
+        c_o, PLAN, params, OVERSAMPLE, c, x, rep.y_final, rep.mu_final
+    )
+    worst = float(kkt[qualifying].max())
     ok = worst <= 1e-5
     _report(
         "criterion-6 (direct KKT)", ok,

@@ -7,7 +7,6 @@ from papradmm import (
     Constellation,
     MultipathProfile,
     SspaParams,
-    awgn,
     channel_frequency_response,
     demap_bits,
     equalize_zero_forcing,
@@ -19,6 +18,9 @@ from papradmm import (
     saturation_amplitude,
     sspa,
 )
+
+from papradmm.config import ExperimentConfig
+from papradmm.experiments import _noise_batch
 
 PLAN = CarrierPlan.default(64, 12)
 
@@ -60,15 +62,16 @@ class TestSspa:
 
 
 class TestAwgn:
+    """The drivers' receiver noise, ``experiments._noise_batch``."""
+
     def test_zero_noise_is_identity(self):
-        x = np.ones(16, dtype=complex)
-        assert np.array_equal(awgn(x, 0.0, np.random.default_rng(0)), x)
+        x = np.ones((2, 16), dtype=complex)
+        noise = _noise_batch(ExperimentConfig(seed=0), x.shape, 0.0, 0)
+        assert np.array_equal(x + noise, x)
 
     def test_empirical_variance(self):
-        rng = np.random.default_rng(1)
-        x = np.zeros(10**6, dtype=complex)
-        noisy = awgn(x, 0.25, rng)
-        measured = np.mean(np.abs(noisy) ** 2)
+        noise = _noise_batch(ExperimentConfig(seed=1), (1000, 1000), 0.25, 0)
+        measured = np.mean(np.abs(noise) ** 2)
         assert measured == pytest.approx(0.25, rel=0.02)
 
     def test_qpsk_ber_matches_q_function(self):
@@ -79,9 +82,10 @@ class TestAwgn:
         c_o = map_bits(bits, const, PLAN)
         x = ifft_oversampled(c_o, 4)
         eb = float(np.mean(np.linalg.norm(c_o, axis=-1) ** 2)) / (PLAN.n_data * 2)
+        cfg = ExperimentConfig(seed=2)
         for ebn0_db in (4.0, 6.0):
             var = noise_variance_per_sample(ebn0_db, eb, 256)
-            rx = awgn(x, var, rng)
+            rx = x + _noise_batch(cfg, x.shape, var, int(ebn0_db * 1000))
             got = demap_bits(fft_oversampled(rx, 4), const, PLAN)
             n_err = int(np.sum(got != bits))
             n_bits = bits.size

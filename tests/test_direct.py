@@ -23,6 +23,12 @@ def random_symbols(rng, count, plan=PLAN, const=QAM16):
     return map_bits(bits, const, plan)
 
 
+def run_kkt_residual(c_o, params, x, c, report):
+    return direct_kkt_residual(
+        c_o, PLAN, params, 4, c, x, report.y_final, report.mu_final
+    )
+
+
 def dense_modulator(n_carriers, oversample):
     ln = n_carriers * oversample
     n, k = np.meshgrid(np.arange(ln), np.arange(n_carriers), indexing="ij")
@@ -173,6 +179,24 @@ class TestDirectSolve:
         last = report.change_residual[-1]
         assert np.all(last < first)
 
+    def test_stopped_row_keeps_state_of_run_capped_at_its_stop(self):
+        rng = np.random.default_rng(10)
+        c_o = random_symbols(rng, 12)
+        params = AdmmParams(alpha=ALPHA, beta=0.15, rho=100.0, max_iters=80, eps=1e-6)
+        x, c, rep = direct_solve(c_o, PLAN, params, 4)
+        stop = (rep.change_residual < params.eps).argmax(axis=0) + 1
+        rows = np.flatnonzero(rep.converged & ~rep.bypassed & (stop < rep.iterations))
+        assert rows.size >= 2
+        for i in rows[:3]:
+            k = int(stop[i])
+            capped = AdmmParams(alpha=ALPHA, beta=0.15, rho=100.0, max_iters=k, eps=1e-6)
+            x_k, c_k, rep_k = direct_solve(c_o, PLAN, capped, 4)
+            assert np.array_equal(x[i], x_k[i]) and np.array_equal(c[i], c_k[i])
+            assert np.array_equal(rep.y_final[i], rep_k.y_final[i])
+            assert rep.mu_final[i] == rep_k.mu_final[i]
+            assert np.all(rep.change_residual[k:, i] == 0.0)
+            assert np.all(rep.lagrangian[k:, i] == rep.lagrangian[k - 1, i])
+
     def test_single_symbol_shape_round_trip(self):
         rng = np.random.default_rng(4)
         c_o = random_symbols(rng, 1)[0]
@@ -186,9 +210,9 @@ class TestDirectSolve:
         rng = np.random.default_rng(9)
         c_o = random_symbols(rng, 10)
         params = AdmmParams(alpha=ALPHA, beta=0.15, rho=100.0, max_iters=4, eps=0.0)
-        x_ref, c_ref, _ = direct_solve(c_o, PLAN, params, 4, compute_kkt=False)
+        x_ref, c_ref, _ = direct_solve(c_o, PLAN, params, 4)
         for s in (0.5, 3.0, 1j, np.exp(0.7j)):
-            x_s, c_s, _ = direct_solve(s * c_o, PLAN, params, 4, compute_kkt=False)
+            x_s, c_s, _ = direct_solve(s * c_o, PLAN, params, 4)
             assert np.abs(x_s - s * x_ref).max() < 1e-6 * abs(s)
             assert np.abs(c_s - s * c_ref).max() < 1e-6 * abs(s)
 
@@ -210,7 +234,7 @@ def test_converged_distortion_levels():
     targets = {0.0: -16.58, 0.15: -27.33, 0.3: -32.96}
     for beta, target in targets.items():
         params = AdmmParams(alpha=ALPHA, beta=beta, rho=100.0, max_iters=60, eps=1e-10)
-        _, c, _ = direct_solve(c_o, PLAN, params, 4, compute_kkt=False)
+        _, c, _ = direct_solve(c_o, PLAN, params, 4)
         assert evm_db(c, c_o, PLAN) == pytest.approx(target, abs=1.0)
 
 
@@ -237,9 +261,9 @@ class TestKktResidual:
             params = AdmmParams(
                 alpha=ALPHA, beta=0.15, rho=100.0, max_iters=4000, eps=eps
             )
-            _, _, report = direct_solve(c_o, PLAN, params, 4)
+            x, c, report = direct_solve(c_o, PLAN, params, 4)
             assert report.converged.all()
-            values.append(report.kkt_residual.max())
+            values.append(run_kkt_residual(c_o, params, x, c, report).max())
         assert values[2] < values[0]
         assert values[2] <= 1e-5  # deep stop reaches the diagnostic target
 
@@ -249,10 +273,10 @@ class TestKktResidual:
         rng = np.random.default_rng(17)
         c_o = random_symbols(rng, 5)
         params = AdmmParams(alpha=ALPHA, beta=0.0, rho=100.0, max_iters=4000, eps=1e-12)
-        _, c, report = direct_solve(c_o, PLAN, params, 4)
+        x, c, report = direct_solve(c_o, PLAN, params, 4)
         assert report.converged.all()
         assert np.all(c[:, PLAN.free_idx] == 0.0)
-        assert report.kkt_residual.max() < 1e-4
+        assert run_kkt_residual(c_o, params, x, c, report).max() < 1e-4
 
     def test_perturbation_increases_residual(self):
         rng = np.random.default_rng(6)
@@ -264,4 +288,4 @@ class TestKktResidual:
             c_o, PLAN, params, 4, c=c + noise, x=x, y=report.y_final,
             mu=report.mu_final,
         )
-        assert np.all(perturbed > 10 * report.kkt_residual)
+        assert np.all(perturbed > 10 * run_kkt_residual(c_o, params, x, c, report))

@@ -18,7 +18,7 @@ def _batch(cfg, n_symbols):
 class TestConfig:
     def test_defaults_validate(self):
         cfg = ExperimentConfig().validate()
-        assert cfg.n_data + cfg.n_free == cfg.n_carriers
+        assert experiments.make_plan(cfg).n_data == 52
 
     def test_per_solver_penalty_defaults(self):
         cfg = ExperimentConfig()
@@ -34,14 +34,12 @@ class TestConfig:
             "n_symbols = 100\n"
             "beta = 0.3\n"
             "ebn0_db = 6, 8, 10\n"
-            "solver = relax\n"
             "pa_enabled = off\n"
         )
         cfg = ExperimentConfig.from_file(str(path))
         assert cfg.n_symbols == 100
         assert cfg.beta == 0.3
         assert cfg.ebn0_db == (6.0, 8.0, 10.0)
-        assert cfg.solver == "relax"
         assert cfg.pa_enabled is False
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -52,11 +50,13 @@ class TestConfig:
 
     def test_inconsistent_counts_rejected(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig().with_overrides(n_data=50)
+            ExperimentConfig().with_overrides(n_free=0)
+        with pytest.raises(ConfigError):
+            ExperimentConfig().with_overrides(n_free=64)
 
     def test_relax_penalty_hypothesis_checked(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig().with_overrides(solver="relax", rho=120.0, rho_tilde=100.0)
+            ExperimentConfig().with_overrides(rho=120.0, rho_tilde=100.0)
 
     def test_bad_value_types_rejected(self):
         with pytest.raises(ConfigError):
@@ -115,7 +115,19 @@ class TestCli:
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("solver = sorcery\n")
+        bad.write_text("channel = sorcery\n")
+        code = main(["table2", "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_relax_penalty_error_exit_code(self, tmp_path, capsys):
+        code = main(["table2", "--rho", "100", "--out", str(tmp_path)])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_carrier_count_error_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("n_free = 0\n")
         code = main(["table2", "--config", str(bad), "--out", str(tmp_path)])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err

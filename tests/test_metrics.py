@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from papradmm import CarrierPlan, MetricAccumulator, ber, ccdf, evm_db, psd
+from papradmm import CarrierPlan, MetricAccumulator, ccdf, evm_db, psd
 
 PLAN = CarrierPlan.default(64, 12)
 
@@ -47,16 +47,23 @@ class TestCcdf:
             ccdf([], [1.0])
 
 
+def ber(tx_bits, rx_bits) -> float:
+    acc = MetricAccumulator()
+    acc.add_bits(tx_bits, rx_bits)
+    return acc.ber_value
+
+
 class TestBer:
     def test_edge_cases(self):
         a = np.zeros(100, dtype=int)
         assert ber(a, a) == 0.0
         assert ber(a, 1 - a) == 1.0
-        b = a.copy()
         big = np.zeros(10**4, dtype=int)
         flipped = big.copy()
         flipped[1234] = 1
         assert ber(big, flipped) == pytest.approx(1e-4)
+        with pytest.raises(ValueError):
+            MetricAccumulator().ber_value
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -83,36 +90,3 @@ class TestPsd:
     def test_short_stream_rejected(self):
         with pytest.raises(ValueError):
             psd(np.ones(100), seg_len=256)
-
-
-class TestAccumulator:
-    def test_merge_matches_single_pass(self):
-        rng = np.random.default_rng(2)
-        tx = rng.integers(0, 2, size=1000)
-        rx = tx.copy()
-        rx[:37] ^= 1
-        whole = MetricAccumulator()
-        whole.add_bits(tx, rx)
-        left, right = MetricAccumulator(), MetricAccumulator()
-        left.add_bits(tx[:400], rx[:400])
-        right.add_bits(tx[400:], rx[400:])
-        merged = left.merge(right)
-        assert merged.ber_value == whole.ber_value
-        assert merged.bits_total == whole.bits_total
-
-    def test_merge_evm_and_papr(self):
-        rng = np.random.default_rng(3)
-        c_o = np.zeros((10, 64), dtype=complex)
-        c_o[:, PLAN.data_idx] = 1.0
-        c = c_o + 0.05 * rng.normal(size=c_o.shape)
-        whole = MetricAccumulator()
-        whole.add_evm(c, c_o, PLAN)
-        whole.add_papr([3.0, 4.0])
-        a, b = MetricAccumulator(), MetricAccumulator()
-        a.add_evm(c[:4], c_o[:4], PLAN)
-        a.add_papr([3.0])
-        b.add_evm(c[4:], c_o[4:], PLAN)
-        b.add_papr([4.0])
-        merged = a.merge(b)
-        assert merged.evm_value_db == pytest.approx(whole.evm_value_db)
-        assert merged.papr_db == whole.papr_db

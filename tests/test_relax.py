@@ -109,6 +109,23 @@ class TestRelaxRun:
         assert np.abs(rep.lagrangian[-1] - closed_form).max() < 1e-10
         assert np.all(closed_form >= 0.0)
 
+    def test_stopped_row_keeps_state_of_run_capped_at_its_stop(self):
+        params = stock_params(max_iters=80, eps=1e-6)
+        x, c, rep = relax_solve(self.c_o, PLAN, params, 4)
+        stop = (rep.residual < params.eps).argmax(axis=0) + 1
+        rows = np.flatnonzero(rep.converged & ~rep.bypassed & (stop < rep.iterations))
+        assert rows.size >= 2
+        for i in rows[:3]:
+            k = int(stop[i])
+            x_k, c_k, rep_k = relax_solve(
+                self.c_o, PLAN, stock_params(max_iters=k, eps=1e-6), 4
+            )
+            assert np.array_equal(x[i], x_k[i]) and np.array_equal(c[i], c_k[i])
+            assert np.array_equal(rep.u_final[i], rep_k.u_final[i])
+            assert np.array_equal(rep.w_final[i], rep_k.w_final[i])
+            assert np.all(rep.residual[k:, i] == 0.0)
+            assert np.all(rep.lagrangian[k:, i] == rep.lagrangian[k, i])
+
     def test_output_papr_feasible_for_any_tie_penalty(self):
         for rho_tilde in (10.0, 100.0, 300.0):
             params = AdmmParams(
