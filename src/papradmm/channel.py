@@ -5,7 +5,6 @@ The drivers add receiver noise themselves (``experiments._noise_batch``).
 
 import numpy as np
 from dataclasses import dataclass
-from scipy import signal
 
 from . import dsp
 
@@ -86,22 +85,18 @@ class MultipathProfile:
         return h
 
 
-def multipath_apply(x, h: np.ndarray, cp_len: int):
-    """Send symbols through the FIR channel with a cyclic prefix.
+def multipath_apply(x, h: np.ndarray):
+    """Send symbols through the FIR channel behind an ideal cyclic prefix.
 
-    Per symbol: prepend the last ``cp_len`` samples, convolve with ``h``,
-    and strip the prefix again, which renders the channel circular.
-    Returns the received, noiseless symbol batch.
+    The prefix renders the channel a circular convolution of each symbol
+    with ``h``, computed here as one FFT pair.  Returns the received,
+    noiseless symbol batch.
     """
     x = np.atleast_2d(dsp._as_complex(x))
-    if cp_len < len(h) - 1:
-        raise ValueError(
-            f"cyclic prefix ({cp_len}) shorter than channel memory ({len(h) - 1})"
-        )
     n = x.shape[-1]
-    with_cp = np.concatenate([x[..., n - cp_len:], x], axis=-1)
-    full = signal.lfilter(h, [1.0], with_cp, axis=-1)
-    return full[..., cp_len : cp_len + n]
+    if len(h) > n:
+        raise ValueError(f"channel ({len(h)} taps) longer than the symbol ({n} samples)")
+    return np.fft.ifft(np.fft.fft(x, axis=-1) * np.fft.fft(h, n), axis=-1)
 
 
 def channel_frequency_response(h: np.ndarray, n_samples: int, n_carriers: int) -> np.ndarray:

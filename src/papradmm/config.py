@@ -3,6 +3,8 @@
 import dataclasses
 from dataclasses import dataclass
 
+from .dsp import Constellation
+
 
 class ConfigError(ValueError):
     """Bad configuration file or option combination (CLI exit code 2)."""
@@ -42,13 +44,11 @@ class ExperimentConfig:
     pa_enabled: bool = True
     sspa_p: float = 3.0
     ibo_db: float = 4.1
-    cp_len: int = 64
     bandwidth_hz: float = 20e6
     ccdf_min_db: float = 2.0
     ccdf_max_db: float = 12.0
     ccdf_step_db: float = 0.05
     psd_seg_len: int = 1024
-    psd_window: str = "hann"
     bench_sizes: tuple = (64.0, 256.0, 1024.0)
     bench_batch: int = 64
     bench_repeats: int = 5
@@ -66,6 +66,10 @@ class ExperimentConfig:
             )
         if self.channel not in self._CHANNELS:
             raise ConfigError(f"unknown channel {self.channel!r}")
+        try:
+            Constellation.from_name(self.constellation)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.alpha_db <= 0:
             raise ConfigError("alpha_db must be > 0")
         if self.beta < 0 or any(b < 0 for b in self.beta_grid):

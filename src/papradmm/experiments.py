@@ -43,6 +43,14 @@ def make_plan(cfg: ExperimentConfig) -> dsp.CarrierPlan:
     return dsp.CarrierPlan.default(cfg.n_carriers, cfg.n_free)
 
 
+def _symbols(cfg: ExperimentConfig, n_symbols: int):
+    """(plan, constellation, bits, c_o) of symbols ``0..n_symbols-1``."""
+    plan = make_plan(cfg)
+    const = dsp.Constellation.from_name(cfg.constellation)
+    bits = generate_bits(cfg, n_symbols, const, plan)
+    return plan, const, bits, dsp.map_bits(bits, const, plan)
+
+
 def generate_bits(cfg: ExperimentConfig, n_symbols: int, const, plan) -> np.ndarray:
     per_symbol = plan.n_data * const.bits_per_symbol
     out = np.empty((n_symbols, per_symbol), dtype=np.int8)
@@ -126,10 +134,7 @@ def _format_cell(cell) -> str:
 
 def run_table2(cfg: ExperimentConfig):
     """EVM of both engines over the beta grid (dB, 4 decimals)."""
-    plan = make_plan(cfg)
-    const = dsp.Constellation.from_name(cfg.constellation)
-    bits = generate_bits(cfg, cfg.n_symbols, const, plan)
-    c_o = dsp.map_bits(bits, const, plan)
+    plan, _, _, c_o = _symbols(cfg, cfg.n_symbols)
     rows = [("solver", "beta", "evm_db")]
     for solver in ("direct", "relax"):
         for beta in cfg.beta_grid:
@@ -141,10 +146,7 @@ def run_table2(cfg: ExperimentConfig):
 
 def run_ccdf(cfg: ExperimentConfig):
     """PAPR exceedance curves for the original signal and each solver."""
-    plan = make_plan(cfg)
-    const = dsp.Constellation.from_name(cfg.constellation)
-    bits = generate_bits(cfg, cfg.n_symbols, const, plan)
-    c_o = dsp.map_bits(bits, const, plan)
+    plan, _, _, c_o = _symbols(cfg, cfg.n_symbols)
     thresholds = np.arange(
         cfg.ccdf_min_db, cfg.ccdf_max_db + cfg.ccdf_step_db / 2, cfg.ccdf_step_db
     )
@@ -160,11 +162,7 @@ def run_ccdf(cfg: ExperimentConfig):
 
 def run_convergence(cfg: ExperimentConfig):
     """Median residual per iteration for both engines (fixed symbol set)."""
-    plan = make_plan(cfg)
-    const = dsp.Constellation.from_name(cfg.constellation)
-    n = min(cfg.n_symbols, 500)
-    bits = generate_bits(cfg, n, const, plan)
-    c_o = dsp.map_bits(bits, const, plan)
+    plan, _, _, c_o = _symbols(cfg, min(cfg.n_symbols, 500))
     iters = max(cfg.iterations, 15)
     rows = [("solver", "iteration", "median_residual")]
     params = admm_params(cfg, solver="direct", iterations=iters, eps=0.0)
@@ -184,11 +182,7 @@ def run_consensus_gap(cfg: ExperimentConfig, rho_tilde_grid=(10.0, 30.0, 100.0, 
     Runs in feasible-start mode so the analytical gap bound applies; emits
     the per-grid-point bound satisfaction fraction alongside the median.
     """
-    plan = make_plan(cfg)
-    const = dsp.Constellation.from_name(cfg.constellation)
-    n = min(cfg.n_symbols, 200)
-    bits = generate_bits(cfg, n, const, plan)
-    c_o = dsp.map_bits(bits, const, plan)
+    plan, _, _, c_o = _symbols(cfg, min(cfg.n_symbols, 200))
     rows = [("rho_tilde", "median_gap", "bound_ok_fraction", "feasible_fraction")]
     for rho_tilde in rho_tilde_grid:
         params = AdmmParams(
@@ -212,30 +206,23 @@ def run_consensus_gap(cfg: ExperimentConfig, rho_tilde_grid=(10.0, 30.0, 100.0, 
     return rows
 
 
-def _transmit(cfg, solver, c_o, plan):
-    x, _ = solve_batch(cfg, solver, c_o, plan)
-    return np.atleast_2d(x)
-
-
 def run_ber(cfg: ExperimentConfig, solvers=("none", "direct", "relax", "rcf")):
     """BER sweep over Eb/N0 for each solver, with the PA and channel applied.
 
     Eb is referenced to the averaged energy of the transmitted frequency
     symbols; noise is added per sample so the per-data-carrier SNR meets the
-    requested Eb/N0.  With ``channel=multipath`` each symbol gets a cyclic
-    prefix and the known tap response is equalized away (perfect CSI).
+    requested Eb/N0.  With ``channel=multipath`` each symbol goes through an
+    ideal cyclic prefix, so the channel is a circular convolution, and the
+    known tap response is equalized away (perfect CSI).
     """
-    plan = make_plan(cfg)
-    const = dsp.Constellation.from_name(cfg.constellation)
-    bits = generate_bits(cfg, cfg.n_symbols, const, plan)
-    c_o = dsp.map_bits(bits, const, plan)
+    plan, const, bits, c_o = _symbols(cfg, cfg.n_symbols)
     n_samples = cfg.n_carriers * cfg.oversample
     profile = MultipathProfile()
     h = profile.impulse_response(cfg.oversample * cfg.bandwidth_hz)
     resp = channel_frequency_response(h, n_samples, cfg.n_carriers)
     rows = [("solver", "channel", "ebn0_db", "ber", "bits")]
     for solver in solvers:
-        x_clean = _transmit(cfg, solver, c_o, plan)
+        x_clean, _ = solve_batch(cfg, solver, c_o, plan)
         c_tx = dsp.fft_oversampled(x_clean, cfg.oversample)
         es_bar = float(np.mean(np.linalg.norm(c_tx, axis=-1) ** 2))
         eb = es_bar / (plan.n_data * const.bits_per_symbol)
@@ -248,7 +235,7 @@ def run_ber(cfg: ExperimentConfig, solvers=("none", "direct", "relax", "rcf")):
             var = noise_variance_per_sample(ebn0, eb, n_samples)
             ebn0_key = int(round(ebn0 * 1000))
             if cfg.channel == "multipath":
-                clean = multipath_apply(x_tx, h, cfg.cp_len)
+                clean = multipath_apply(x_tx, h)
             else:
                 clean = x_tx
             noise = _noise_batch(cfg, clean.shape, var, ebn0_key)
@@ -276,19 +263,14 @@ def _noise_batch(cfg, shape, noise_var, ebn0_key) -> np.ndarray:
 
 def run_psd(cfg: ExperimentConfig, solvers=("none", "direct", "relax", "rcf")):
     """Normalized emission spectra after the PA, one curve per solver."""
-    plan = make_plan(cfg)
-    const = dsp.Constellation.from_name(cfg.constellation)
-    n = min(cfg.n_symbols, 1000)
-    bits = generate_bits(cfg, n, const, plan)
-    c_o = dsp.map_bits(bits, const, plan)
+    plan, _, _, c_o = _symbols(cfg, min(cfg.n_symbols, 1000))
     rows = [("solver", "freq_norm", "psd_db")]
     for solver in solvers:
-        x = _transmit(cfg, solver, c_o, plan)
+        x, _ = solve_batch(cfg, solver, c_o, plan)
         if cfg.pa_enabled:
             x = sspa(x, SspaParams(cfg.sspa_p, cfg.ibo_db))
         freqs, pxx = metrics.psd(
-            x.ravel(), seg_len=cfg.psd_seg_len, window=cfg.psd_window,
-            normalize_peak=True,
+            x.ravel(), seg_len=cfg.psd_seg_len, normalize_peak=True
         )
         label = "original" if solver == "none" else solver
         # frequency axis in carrier spacings: sample rate is oversample*N spacings

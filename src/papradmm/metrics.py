@@ -2,7 +2,7 @@
 
 import numpy as np
 from dataclasses import dataclass
-from scipy import signal
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dsp
 
@@ -45,26 +45,29 @@ def psd(
 ):
     """Averaged-periodogram spectral density of a complex baseband stream.
 
-    Returns ``(freqs, pxx)`` two-sided and centred (ascending frequency).
-    With a rectangular window and no overlap the density integrates exactly
-    to the stream's mean power.  ``normalize_peak`` rescales so the maximum
-    is 1 (0 dB), the usual display convention for emission masks.
+    Welch's method: the mean of the windowed periodograms of segments of
+    ``seg_len`` samples that overlap by ``int(overlap * seg_len)``, scaled
+    by ``1 / (fs * sum(w**2))``.  ``window`` is ``"hann"`` (periodic) or
+    ``"boxcar"``.  Returns ``(freqs, pxx)`` two-sided and centred (ascending
+    frequency).  With a rectangular window and no overlap the density
+    integrates exactly to the stream's mean power.  ``normalize_peak``
+    rescales so the maximum is 1 (0 dB), the usual display convention for
+    emission masks.
     """
     x = np.asarray(x).ravel()
     if x.size < seg_len:
         raise ValueError(f"stream of {x.size} samples shorter than seg_len={seg_len}")
-    freqs, pxx = signal.welch(
-        x,
-        fs=fs,
-        window=window,
-        nperseg=seg_len,
-        noverlap=int(overlap * seg_len),
-        detrend=False,
-        return_onesided=False,
-        scaling="density",
-    )
-    freqs = np.fft.fftshift(freqs)
-    pxx = np.fft.fftshift(pxx)
+    if window == "hann":
+        w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg_len) / seg_len)
+    elif window == "boxcar":
+        w = np.ones(seg_len)
+    else:
+        raise ValueError(f"unknown window {window!r}; use 'hann' or 'boxcar'")
+    step = seg_len - int(overlap * seg_len)
+    segments = sliding_window_view(x, seg_len)[::step]
+    spectra = np.fft.fft(segments * w, axis=-1)
+    pxx = np.fft.fftshift(np.mean(np.abs(spectra) ** 2, axis=0)) / (fs * np.sum(w * w))
+    freqs = np.fft.fftshift(np.fft.fftfreq(seg_len, 1.0 / fs))
     if normalize_peak:
         pxx = pxx / pxx.max()
     return freqs, pxx

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import special
+from scipy import signal, special
 
 from papradmm import (
     CarrierPlan,
@@ -104,13 +104,28 @@ class TestMultipath:
     def test_single_tap_identity(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 64)) + 1j * rng.normal(size=(4, 64))
-        out = multipath_apply(x, np.array([1.0]), cp_len=8)
+        out = multipath_apply(x, np.array([1.0]))
         assert np.abs(out - x).max() < 1e-12
 
-    def test_short_prefix_rejected(self):
-        h = MultipathProfile().impulse_response(80e6)
+    def test_channel_longer_than_symbol_rejected(self):
+        h = MultipathProfile().impulse_response(80e6)  # 33 taps
         with pytest.raises(ValueError):
-            multipath_apply(np.ones((1, 256)), h, cp_len=16)
+            multipath_apply(np.ones((1, 32)), h)
+        assert multipath_apply(np.ones((1, 33)), h).shape == (1, 33)
+
+    @pytest.mark.parametrize("oversample", [1, 4])
+    def test_matches_cyclic_prefix_and_lfilter(self, oversample):
+        # Oracle: prepend a prefix as long as the channel memory, run the
+        # linear FIR filter, strip the prefix.
+        h = MultipathProfile().impulse_response(oversample * 20e6)
+        rng = np.random.default_rng(5)
+        n = 64 * oversample
+        x = rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
+        cp = len(h) - 1
+        with_cp = np.concatenate([x[:, n - cp:], x], axis=-1)
+        expected = signal.lfilter(h, [1.0], with_cp, axis=-1)[:, cp:]
+        got = multipath_apply(x, h)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_zero_forcing_restores_noiseless_symbols(self):
         rng = np.random.default_rng(4)
@@ -120,7 +135,7 @@ class TestMultipath:
         x = ifft_oversampled(c_o, 4)
         h = np.zeros(9)
         h[0], h[8] = 1.0, 0.5
-        rx = multipath_apply(x, h, cp_len=64)
+        rx = multipath_apply(x, h)
         resp = channel_frequency_response(h, 256, 64)
         c_hat = equalize_zero_forcing(fft_oversampled(rx, 4), resp)
         assert np.abs(c_hat - c_o).max() < 1e-10

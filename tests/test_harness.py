@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -120,6 +125,13 @@ class TestCli:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_unknown_constellation_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("constellation = 8psk\n")
+        code = main(["table2", "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert "unknown constellation" in capsys.readouterr().err
+
     def test_relax_penalty_error_exit_code(self, tmp_path, capsys):
         code = main(["table2", "--rho", "100", "--out", str(tmp_path)])
         assert code == 2
@@ -226,3 +238,15 @@ class TestBench:
         r_sq, slope = experiments.loglog_fit(sizes, times)
         assert r_sq == pytest.approx(1.0)
         assert slope == pytest.approx(1.0)
+
+
+def test_import_loads_no_scipy():
+    import papradmm
+
+    src = str(Path(papradmm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, papradmm; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

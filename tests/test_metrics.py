@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import signal
 
 from papradmm import CarrierPlan, MetricAccumulator, ccdf, evm_db, psd
 
@@ -90,3 +91,24 @@ class TestPsd:
     def test_short_stream_rejected(self):
         with pytest.raises(ValueError):
             psd(np.ones(100), seg_len=256)
+
+    def test_unknown_window_rejected(self):
+        with pytest.raises(ValueError):
+            psd(np.ones(1024), seg_len=256, window="hamming")
+
+    @pytest.mark.parametrize("window", ["hann", "boxcar"])
+    @pytest.mark.parametrize("overlap", [0.0, 0.5])
+    @pytest.mark.parametrize("seg_len", [256, 1024])
+    def test_matches_scipy_welch(self, window, overlap, seg_len):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=10_000) + 1j * rng.normal(size=10_000)
+        fs = 3.0
+        freqs, pxx = psd(x, seg_len=seg_len, window=window, overlap=overlap, fs=fs)
+        ref_f, ref_p = signal.welch(
+            x, fs=fs, window=window, nperseg=seg_len,
+            noverlap=int(overlap * seg_len), detrend=False,
+            return_onesided=False, scaling="density",
+        )
+        assert np.array_equal(freqs, np.fft.fftshift(ref_f))
+        ref_p = np.fft.fftshift(ref_p)
+        assert np.abs(pxx - ref_p).max() <= 1e-12 * ref_p.max()
