@@ -33,16 +33,16 @@ class DirectReport:
     symbols repeat their last values with zero residuals.
     ``change_residual`` is the squared step ``||dc||^2 + ||dx||^2`` of each
     sweep, so ``converged`` at ``eps`` means steps of about ``sqrt(eps)``.
+    ``lagrangian`` is the augmented Lagrangian after each sweep; it is
+    recorded only by a run with ``certify=True`` and is ``None`` otherwise.
     """
 
     iterations: int
     bypassed: np.ndarray
     converged: np.ndarray
-    primal_residual: np.ndarray
     change_residual: np.ndarray
-    lagrangian: np.ndarray
+    lagrangian: np.ndarray | None
     mu: np.ndarray
-    gamma: np.ndarray
     y_final: np.ndarray
     mu_final: np.ndarray
 
@@ -61,18 +61,23 @@ def augmented_lagrangian(c, ac, x, y, c_o, plan, rho: float) -> np.ndarray:
     )
 
 
-def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int):
+def direct_solve(
+    c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int, *, certify: bool = False
+):
     """Run the direct engine on a batch of symbols.
 
     Parameters
     ----------
     c_o : array_like, shape (K, N) or (N,)
-        Original frequency-domain symbols with zero free carriers.
+        Original frequency-domain symbols: finite, with zero free carriers.
     plan, params, oversample
         Carrier partition, engine parameters and over-sampling factor.  A
         symbol stops once its squared step ``||dc||^2 + ||dx||^2`` falls
         below ``params.eps``; for :func:`direct_kkt_residual` to certify a
         bound ``tau``, pick ``params.eps`` of about ``tau**2`` or less.
+    certify
+        Also trace the augmented Lagrangian of every sweep (one more pass
+        over the batch per sweep); the iterates do not depend on it.
 
     Returns
     -------
@@ -85,6 +90,8 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
     """
     rho = params.rho
     r = rho / (plan.n_carriers * oversample)
+    # y * (1/rho) has the values of y / rho without a complex division
+    inv_rho = 1.0 / rho
 
     def start(c_o, x_raw):
         return {
@@ -96,20 +103,18 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
 
     def step(c_o, s, where_active):
         x, y = s["x"], s["y"]
-        v = c_o + r * dsp.fft_oversampled(x - y / rho, oversample)
+        y_scaled = y * inv_rho
+        v = c_o + r * dsp.fft_oversampled(x - y_scaled, oversample)
         cres = c_update(v, plan, params.beta, r)
         c_new = where_active(cres.c, s["c"])
         ac = dsp.ifft_oversampled(c_new, oversample)
-        xres = x_update(ac + y / rho, params.alpha)
+        xres = x_update(ac + y_scaled, params.alpha)
         x_new = where_active(xres.x, x)
         y_new = where_active(y + rho * (ac - x_new), y)
         change = row_norm(c_new - s["c"]) ** 2 + row_norm(x_new - x) ** 2
-        trace = {
-            "primal": where_active(row_norm(ac - x_new), 0.0),
-            "lagr": augmented_lagrangian(c_new, ac, x_new, y_new, c_o, plan, rho),
-            "mu": where_active(cres.mu, np.nan),
-            "gamma": where_active(xres.gamma, np.nan),
-        }
+        trace = {"mu": where_active(cres.mu, np.nan)}
+        if certify:
+            trace["lagr"] = augmented_lagrangian(c_new, ac, x_new, y_new, c_o, plan, rho)
         mu = where_active(cres.mu, s["mu"])
         return {"c": c_new, "x": x_new, "y": y_new, "mu": mu}, change, trace
 
@@ -119,11 +124,9 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
             iterations=sweeps.iterations,
             bypassed=sweeps.bypassed,
             converged=sweeps.converged,
-            primal_residual=sweeps.trace("primal"),
             change_residual=sweeps.residual,
-            lagrangian=sweeps.trace("lagr"),
+            lagrangian=sweeps.trace("lagr") if certify else None,
             mu=sweeps.trace("mu"),
-            gamma=sweeps.trace("gamma"),
             y_final=sweeps.state["y"],
             mu_final=sweeps.state["mu"],
         )

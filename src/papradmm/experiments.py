@@ -24,7 +24,7 @@ from .channel import (
     saturation_amplitude,
     sspa,
 )
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .direct import direct_solve
 from .params import AdmmParams, db_to_linear
 from .rcf import RcfParams, rcf
@@ -263,7 +263,14 @@ def _noise_batch(cfg, shape, noise_var, ebn0_key) -> np.ndarray:
 
 def run_psd(cfg: ExperimentConfig, solvers=("none", "direct", "relax", "rcf")):
     """Normalized emission spectra after the PA, one curve per solver."""
-    plan, _, _, c_o = _symbols(cfg, min(cfg.n_symbols, 1000))
+    n_symbols = min(cfg.n_symbols, 1000)
+    n_samples = n_symbols * cfg.oversample * cfg.n_carriers
+    if n_samples < cfg.psd_seg_len:
+        raise ConfigError(
+            f"psd needs at least psd_seg_len = {cfg.psd_seg_len} samples, but "
+            f"{n_symbols} symbols give {n_samples}"
+        )
+    plan, _, _, c_o = _symbols(cfg, n_symbols)
     rows = [("solver", "freq_norm", "psd_db")]
     for solver in solvers:
         x, _ = solve_batch(cfg, solver, c_o, plan)

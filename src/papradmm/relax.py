@@ -10,8 +10,9 @@ Lagrangian by at least ``lambda_min(Q)`` times the squared (u, w) step, where
 
 whose eigenvalues are ``rho/2`` and ``(rho^2 + 2*rho*rho_tilde -
 8*rho_tilde^2) / (2*rho)``.  After the first full sweep the multipliers obey
-``y1 = rho_tilde*(u - w) = -y2`` identically; both facts are recorded per
-iteration so a run can certify its own convergence behaviour.
+``y1 = rho_tilde*(u - w) = -y2`` identically; a run with ``certify=True``
+records both facts per iteration, so it can certify its own convergence
+behaviour.
 """
 
 import numpy as np
@@ -27,12 +28,14 @@ from .sweep import row_norm, run_sweeps
 class RelaxReport:
     """Trace of a relaxed-engine run.
 
-    ``lagrangian`` has shape ``(n_iters + 1, K)`` and includes the value at
-    the initial state; all other traces have shape ``(n_iters, K)``.
-    ``descent_lhs/rhs`` are the two sides of the per-sweep descent bound and
-    ``identity_residual`` is the max-norm violation of the multiplier
-    identities.  ``feasible_start`` flags symbols whose initial pair
-    satisfied all constraints with ``Ac1 = x1`` (see
+    ``lagrangian_initial`` is the augmented Lagrangian at the initial state.
+    The certificate traces are recorded only by a run with ``certify=True``
+    and are ``None`` otherwise: ``lagrangian`` has shape ``(n_iters + 1, K)``
+    and starts with ``lagrangian_initial``; ``descent_lhs/rhs`` are the two
+    sides of the per-sweep descent bound and ``identity_residual`` is the
+    max-norm violation of the multiplier identities.  All other traces have
+    shape ``(n_iters, K)``.  ``feasible_start`` flags symbols whose initial
+    pair satisfied all constraints with ``Ac1 = x1`` (see
     :func:`feasible_start_state`).
     """
 
@@ -40,12 +43,12 @@ class RelaxReport:
     bypassed: np.ndarray
     converged: np.ndarray
     residual: np.ndarray
-    lagrangian: np.ndarray
-    descent_lhs: np.ndarray
-    descent_rhs: np.ndarray
-    identity_residual: np.ndarray
+    lagrangian_initial: np.ndarray
+    lagrangian: np.ndarray | None
+    descent_lhs: np.ndarray | None
+    descent_rhs: np.ndarray | None
+    identity_residual: np.ndarray | None
     mu: np.ndarray
-    gamma: np.ndarray
     consensus_gap: np.ndarray
     sd_dist_initial: np.ndarray
     sd_dist_final: np.ndarray
@@ -153,6 +156,8 @@ def relax_solve(
     params: AdmmParams,
     oversample: int,
     feasible_start: bool = False,
+    *,
+    certify: bool = False,
 ):
     """Run the relaxed engine on a batch of symbols.
 
@@ -162,6 +167,9 @@ def relax_solve(
     flagged symbols); otherwise ``c1 = c_o`` and ``x1`` is the PAPR
     projection of the raw signal.  Either way the auxiliaries start at their
     common mean, ``u1 = w1 = (A c1 + x1)/2``, and the multipliers at zero.
+    With ``certify=True`` every sweep also records the Lagrangian, the
+    descent check and the multiplier identities (see :class:`RelaxReport`);
+    the iterates do not depend on it.
 
     Returns ``(x, c, report)`` like the direct engine.
     """
@@ -174,6 +182,8 @@ def relax_solve(
         )
     rho, rho_tilde = params.rho, params.rho_tilde
     r = rho / (plan.n_carriers * oversample)
+    # y * (1/rho) has the values of y / rho without a complex division
+    inv_rho = 1.0 / rho
 
     def start(c_o, x_raw):
         feas = None
@@ -199,11 +209,11 @@ def relax_solve(
 
     def step(c_o, s, where_active):
         u, w, y1, y2 = s["u"], s["w"], s["y1"], s["y2"]
-        v = c_o + r * dsp.fft_oversampled(u - y1 / rho, oversample)
+        v = c_o + r * dsp.fft_oversampled(u - y1 * inv_rho, oversample)
         cres = c_update(v, plan, params.beta, r)
         c = where_active(cres.c, s["c"])
         ac = dsp.ifft_oversampled(c, oversample)
-        xres = x_update(w - y2 / rho, params.alpha)
+        xres = x_update(w - y2 * inv_rho, params.alpha)
         x = where_active(xres.x, s["x"])
         u_cand, w_cand = uw_update(x, ac, y1, y2, rho, rho_tilde)
         u_new = where_active(u_cand, u)
@@ -213,23 +223,24 @@ def relax_solve(
 
         du_sq = row_norm(u_new - u) ** 2
         dw_sq = row_norm(w_new - w) ** 2
-        lagr = relax_lagrangian(
-            c, ac, x, u_new, w_new, y1_new, y2_new, c_o, plan, rho, rho_tilde
-        )
-        lhs, rhs, _ = descent_check(s["lagr"], lagr, du_sq, dw_sq, rho, rho_tilde)
-        trace = {
-            "lagr": lagr,
-            "lhs": lhs,
-            "rhs": rhs,
-            "ident": multiplier_identity_residual(u_new, w_new, y1_new, y2_new, rho_tilde),
-            "mu": where_active(cres.mu, np.nan),
-            "gamma": where_active(xres.gamma, np.nan),
-        }
-        new = dict(s, c=c, ac=ac, x=x, u=u_new, w=w_new, y1=y1_new, y2=y2_new, lagr=lagr)
+        new = dict(s, c=c, ac=ac, x=x, u=u_new, w=w_new, y1=y1_new, y2=y2_new)
+        trace = {"mu": where_active(cres.mu, np.nan)}
+        if certify:
+            lagr = relax_lagrangian(
+                c, ac, x, u_new, w_new, y1_new, y2_new, c_o, plan, rho, rho_tilde
+            )
+            lhs, rhs, _ = descent_check(s["lagr"], lagr, du_sq, dw_sq, rho, rho_tilde)
+            ident = multiplier_identity_residual(u_new, w_new, y1_new, y2_new, rho_tilde)
+            trace.update(lagr=lagr, lhs=lhs, rhs=rhs, ident=ident)
+            new["lagr"] = lagr
         return new, du_sq + dw_sq, trace
 
     sweeps = run_sweeps(c_o, plan, params, oversample, start, step)
     s = sweeps.state
+
+    def certificate(name):
+        return sweeps.trace(name) if certify else None
+
     # A bypassed row transmits x_raw = A c_o, so its coupling gap is zero.
     ac_final = np.where(sweeps.bypassed[:, None], sweeps.x, s["ac"])
     return sweeps.result(
@@ -238,12 +249,14 @@ def relax_solve(
             bypassed=sweeps.bypassed,
             converged=sweeps.converged,
             residual=sweeps.residual,
-            lagrangian=np.array([s["lagr_initial"], *sweeps.trace("lagr")]),
-            descent_lhs=sweeps.trace("lhs"),
-            descent_rhs=sweeps.trace("rhs"),
-            identity_residual=sweeps.trace("ident"),
+            lagrangian_initial=s["lagr_initial"],
+            lagrangian=(
+                np.array([s["lagr_initial"], *sweeps.trace("lagr")]) if certify else None
+            ),
+            descent_lhs=certificate("lhs"),
+            descent_rhs=certificate("rhs"),
+            identity_residual=certificate("ident"),
             mu=sweeps.trace("mu"),
-            gamma=sweeps.trace("gamma"),
             consensus_gap=row_norm(ac_final - sweeps.x) ** 2,
             sd_dist_initial=s["sd_dist_initial"],
             sd_dist_final=row_norm((sweeps.c - sweeps.c_o)[..., plan.data_idx]) ** 2,
@@ -270,7 +283,7 @@ def iteration_complexity_bound(report: RelaxReport, params: AdmmParams, eps: flo
     """
     if report.residual.size == 0:
         raise ValueError("report holds no iterations")
-    l_init = report.lagrangian[0]
+    l_init = report.lagrangian_initial
     l_star = 0.5 * report.sd_dist_final + 0.5 * params.rho_tilde * report.uw_gap_final
     c_min = lambda_min_q(params.rho, params.rho_tilde)
     bound = (l_init - l_star) / (c_min * eps)

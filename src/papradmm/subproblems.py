@@ -34,16 +34,14 @@ class CUpdateResult:
 
 @dataclass
 class XUpdateResult:
-    """PAPR projection output ``x = t*z`` plus its internals.
+    """PAPR projection output ``x = t*z`` with its scale ``t``.
 
     ``degenerate`` flags rows whose input was identically zero; those rows
     return ``x = 0`` (the unique minimizer even though ``z`` is not unique).
     """
 
     x: np.ndarray
-    z: np.ndarray
     t: np.ndarray
-    gamma: np.ndarray
     degenerate: np.ndarray
 
 
@@ -90,6 +88,60 @@ def c_update(v, plan: CarrierPlan, beta: float, r: float) -> CUpdateResult:
     return CUpdateResult(c=c, mu=mu)
 
 
+def _clip_scale(mag, n_nonzero, alpha: float):
+    """``(scale, two_gamma, saturated)`` of the clip rule on a 2-D batch.
+
+    ``z = scale*b`` per sample and ``two_gamma = 2*gamma`` per row, from the
+    magnitudes of ``b``.  Rows with no nonzero entry get ``2*gamma = inf`` and
+    a zero scale.  ``saturated`` indexes the rows whose clip-rule energy stays
+    below 1; their scale is finite but not their direction, so the callers
+    replace those rows with :func:`_saturated_direction`.
+    """
+    n = mag.shape[-1]
+    cap_sq = alpha / n
+    k = np.arange(n)
+    room = 1.0 - k * cap_sq
+    # Only k with room > 0 are admissible, so the sort's tail is divided on
+    # those columns alone; on rows with fewer nonzero entries, the columns
+    # k >= n_nonzero are masked to inf.
+    k_max = np.count_nonzero(room > 0.0)
+    # tail[:, k] = S_k, summed from the smallest magnitude up
+    tail = np.cumsum(np.sort(mag, axis=-1) ** 2, axis=-1)[:, ::-1][:, :k_max]
+    two_gamma_sq = tail / room[:k_max]
+    short = np.flatnonzero(n_nonzero < k_max)
+    if short.size:
+        admissible = k[:k_max] < n_nonzero[short, None]
+        two_gamma_sq[short] = np.where(admissible, two_gamma_sq[short], np.inf)
+    two_gamma = np.sqrt(two_gamma_sq.min(axis=-1))
+    saturated = (n_nonzero * cap_sq < 1.0 - 1e-14) & (n_nonzero > 0)
+    # the clip rule min(|b|/(2*gamma), cap) * phase(b); zeros stay zero
+    scale = 1.0 / np.maximum(two_gamma[:, None], mag / np.sqrt(cap_sq))
+    return scale, two_gamma, np.flatnonzero(saturated)
+
+
+def _saturated_direction(b, mag, n_nonzero, alpha: float):
+    """Direction on rows whose clip-rule energy saturates below 1 (``gamma = 0``).
+
+    The slack is filled uniformly over the zero entries (``alpha >= 1``
+    guarantees the caps admit it).
+    """
+    n = b.shape[-1]
+    cap_sq = alpha / n
+    nz = mag > 0.0
+    fill = np.sqrt((1.0 - n_nonzero * cap_sq) / (n - n_nonzero))
+    phase = b / np.where(nz, mag, 1.0)
+    return np.where(nz, np.sqrt(cap_sq) * phase, fill[:, None])
+
+
+def _magnitudes(b, alpha: float):
+    """``(flat, mag, n_nonzero)`` of ``b`` as a 2-D batch; checks ``alpha``."""
+    if alpha < 1.0:
+        raise ValueError(f"alpha must be >= 1 (linear), got {alpha}")
+    flat = b.reshape(-1, b.shape[-1])
+    mag = np.abs(flat)
+    return flat, mag, np.count_nonzero(mag, axis=-1)
+
+
 def z_projection(b, alpha: float):
     """Direction of the PAPR projection: maximize ``Re(z^H b)`` on the cap set.
 
@@ -115,78 +167,40 @@ def z_projection(b, alpha: float):
     optimal) and ``gamma = 0`` is reported.
     """
     b = _as_complex(b)
-    n = b.shape[-1]
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1 (linear), got {alpha}")
-    cap_sq = alpha / n
-    cap = np.sqrt(cap_sq)
-
-    shape = b.shape[:-1]
-    flat = b.reshape(-1, n)
-    mag = np.abs(flat)
-    nonzero = mag > 0.0
-    n_nonzero = nonzero.sum(axis=-1)
+    flat, mag, n_nonzero = _magnitudes(b, alpha)
     if np.any(n_nonzero == 0):
         raise DegenerateSymbolError("z_projection input is identically zero")
-
-    z = np.empty_like(flat)
-    gamma = np.empty(flat.shape[0])
-
-    # Rows whose clip-rule energy saturates below 1: fill the slack uniformly
-    # over the zero entries (alpha >= 1 guarantees the caps admit it).
-    saturated = n_nonzero * cap_sq < 1.0 - 1e-14
-    if np.any(saturated):
-        nz = nonzero[saturated]
-        n_zero = n - n_nonzero[saturated]
-        fill = np.sqrt((1.0 - n_nonzero[saturated] * cap_sq) / n_zero)
-        phase = flat[saturated] / np.where(nz, mag[saturated], 1.0)
-        z[saturated] = np.where(nz, cap * phase, fill[:, None])
-        gamma[saturated] = 0.0
-
-    active = ~saturated
-    if np.any(active):
-        m = mag[active]
-        # tail[:, k] = S_k, summed from the smallest magnitude up
-        tail = np.cumsum(np.sort(m, axis=-1) ** 2, axis=-1)[:, ::-1]
-        k = np.arange(n)
-        room = 1.0 - k * cap_sq
-        admissible = (k < n_nonzero[active][:, None]) & (room > 0.0)
-        two_gamma_sq = np.divide(
-            tail, room, out=np.full_like(tail, np.inf), where=admissible
-        )
-        two_gamma = np.sqrt(two_gamma_sq.min(axis=-1))
-        # the clip rule min(|b|/(2*gamma), cap) * phase(b); zeros stay zero
-        z[active] = flat[active] / np.maximum(two_gamma[:, None], m / cap)
-        gamma[active] = 0.5 * two_gamma
-
-    return z.reshape(b.shape), gamma.reshape(shape)
+    scale, two_gamma, sat = _clip_scale(mag, n_nonzero, alpha)
+    z = flat * scale
+    gamma = 0.5 * two_gamma
+    if sat.size:
+        z[sat] = _saturated_direction(flat[sat], mag[sat], n_nonzero[sat], alpha)
+        gamma[sat] = 0.0
+    return z.reshape(b.shape), gamma.reshape(b.shape[:-1])
 
 
 def x_update(b, alpha: float) -> XUpdateResult:
     """Project ``b`` onto the PAPR-limited cone: ``x = t*z``, ``t = max(0, Re(z^H b))``.
 
-    The output satisfies ``papr(x) <= alpha`` up to rounding.
+    The output satisfies ``papr(x) <= alpha`` up to rounding.  Off the
+    saturated rows ``z = b/den`` with a real ``den``, so ``t`` is formed as
+    ``sum(|b|^2/den)`` and ``x`` as ``b*(t/den)`` without forming ``z``.
     All-zero rows of ``b`` are flagged degenerate and mapped to ``x = 0``.
     """
     b = _as_complex(b)
+    flat, mag, n_nonzero = _magnitudes(b, alpha)
+    scale, _, sat = _clip_scale(mag, n_nonzero, alpha)
+    t = np.sum(mag * mag * scale, axis=-1)
+    x = flat * (t[:, None] * scale)
+    if sat.size:
+        z = _saturated_direction(flat[sat], mag[sat], n_nonzero[sat], alpha)
+        t[sat] = np.maximum(0.0, np.real(np.sum(np.conj(z) * flat[sat], axis=-1)))
+        x[sat] = t[sat, None] * z
     shape = b.shape[:-1]
-    flat = b.reshape(-1, b.shape[-1])
-    degenerate = ~np.any(flat != 0.0, axis=-1)
-
-    z = np.zeros_like(flat)
-    gamma = np.full(flat.shape[0], np.nan)
-    if np.any(~degenerate):
-        z_ok, gamma_ok = z_projection(flat[~degenerate], alpha)
-        z[~degenerate] = z_ok
-        gamma[~degenerate] = gamma_ok
-    t = np.maximum(0.0, np.real(np.sum(np.conj(z) * flat, axis=-1)))
-    x = t[..., None] * z
     return XUpdateResult(
         x=x.reshape(b.shape),
-        z=z.reshape(b.shape),
         t=t.reshape(shape),
-        gamma=gamma.reshape(shape),
-        degenerate=degenerate.reshape(shape),
+        degenerate=(n_nonzero == 0).reshape(shape),
     )
 
 
@@ -213,7 +227,9 @@ def uw_update(x, ac, y1, y2, rho: float, rho_tilde: float):
     y2 = _as_complex(y2)
     rhs_u = y1 + rho * ac
     rhs_w = y2 + rho * x
-    det = rho * (rho + 2.0 * rho_tilde)
-    u = ((rho_tilde + rho) * rhs_u + rho_tilde * rhs_w) / det
-    w = (rho_tilde * rhs_u + (rho_tilde + rho) * rhs_w) / det
+    # multiplying by 1/det has the values of dividing by det, without a
+    # complex division
+    inv_det = 1.0 / (rho * (rho + 2.0 * rho_tilde))
+    u = ((rho_tilde + rho) * rhs_u + rho_tilde * rhs_w) * inv_det
+    w = (rho_tilde * rhs_u + (rho_tilde + rho) * rhs_w) * inv_det
     return u, w

@@ -62,11 +62,13 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step)
     ``where_active(new, old)`` takes ``new`` on symbols still running and
     ``old`` on stopped ones; the step applies it to every state array it
     updates, so a stopped symbol keeps its state and traces its last values
-    with a zero step.
+    with a zero step.  While every symbol is running it returns ``new`` itself.
     """
     c_o = dsp._as_complex(c_o)
     single = c_o.ndim == 1
     c_o = np.atleast_2d(c_o)
+    if not np.all(np.isfinite(c_o)):
+        raise ValueError("input symbols must be finite (found NaN or inf)")
     if np.any(np.abs(c_o[..., plan.free_idx]) > 0):
         raise ValueError("input symbols must have zero free carriers")
 
@@ -77,6 +79,8 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step)
     residuals, rows = [], []
 
     def where_active(new, old):
+        if all_active:
+            return new
         mask = active[:, None] if np.ndim(new) == 2 else active
         return np.where(mask, new, old)
 
@@ -84,6 +88,7 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step)
         if np.all(done):
             break
         active = ~done
+        all_active = np.all(active)
         state, residual, row = step(c_o, state, where_active)
         residuals.append(residual)
         rows.append(row)

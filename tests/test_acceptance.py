@@ -128,7 +128,7 @@ def test_criterion_3_descent_machinery():
     params = AdmmParams(
         alpha=ALPHA, beta=0.15, rho=300.0, rho_tilde=100.0, max_iters=30, eps=0.0
     )
-    _, _, rep = relax_solve(c_o, PLAN, params, OVERSAMPLE)
+    _, _, rep = relax_solve(c_o, PLAN, params, OVERSAMPLE, certify=True)
     margin = rep.descent_lhs - (rep.descent_rhs - 1e-8 * (1 + np.abs(rep.descent_lhs)))
     descent_ok = bool(np.all(margin >= 0.0))
     ident_ok = bool(rep.identity_residual.max() <= 1e-9)

@@ -183,7 +183,7 @@ class TestDirectSolve:
         rng = np.random.default_rng(10)
         c_o = random_symbols(rng, 12)
         params = AdmmParams(alpha=ALPHA, beta=0.15, rho=100.0, max_iters=80, eps=1e-6)
-        x, c, rep = direct_solve(c_o, PLAN, params, 4)
+        x, c, rep = direct_solve(c_o, PLAN, params, 4, certify=True)
         stop = (rep.change_residual < params.eps).argmax(axis=0) + 1
         rows = np.flatnonzero(rep.converged & ~rep.bypassed & (stop < rep.iterations))
         assert rows.size >= 2
@@ -220,6 +220,14 @@ class TestDirectSolve:
         c_o = np.ones(64, dtype=complex)
         params = AdmmParams(alpha=ALPHA, beta=0.15, rho=100.0)
         with pytest.raises(ValueError):
+            direct_solve(c_o, PLAN, params, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_input_rejected(self, bad):
+        c_o = random_symbols(np.random.default_rng(11), 3)
+        c_o[1, PLAN.data_idx[5]] = bad
+        params = AdmmParams(alpha=ALPHA, beta=0.15, rho=100.0)
+        with pytest.raises(ValueError, match="finite"):
             direct_solve(c_o, PLAN, params, 4)
 
 

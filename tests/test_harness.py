@@ -144,6 +144,15 @@ class TestCli:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_psd_stream_shorter_than_segment_exit_code(self, tmp_path, capsys):
+        # 2 symbols give 2*4*64 = 512 samples against psd_seg_len = 1024
+        code = main(["psd", "--symbols", "2", "--out", str(tmp_path)])
+        assert code == 2
+        assert "psd_seg_len" in capsys.readouterr().err
+        assert not (tmp_path / "psd.csv").exists()
+        # the stream length concerns psd alone
+        assert main(["table2", "--symbols", "2", "--out", str(tmp_path)]) == 0
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         from papradmm import cli
         from papradmm.dsp import DegenerateSymbolError
@@ -229,6 +238,32 @@ class TestBerDriver:
         multi_ber = {r[0]: r[3] for r in experiments.run_ber(multi)[1:]}
         for solver in ("none", "direct", "relax", "rcf"):
             assert multi_ber[solver] > awgn_ber[solver]
+
+
+def test_drivers_skip_per_sweep_lagrangians(monkeypatch):
+    # the drivers read no certificate trace, so no sweep may pay for one;
+    # the relaxed engine evaluates its initial Lagrangian once per solve
+    from papradmm import direct, relax
+
+    calls = {"relax_solve": 0, "relax_lagrangian": 0, "augmented_lagrangian": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(relax, "relax_lagrangian")
+    counting(direct, "augmented_lagrangian")
+    counting(experiments, "relax_solve")
+    cfg = ExperimentConfig().with_overrides(n_symbols=20, iterations=5)
+    experiments.run_table2(cfg)
+    assert calls["relax_solve"] == len(cfg.beta_grid)
+    assert calls["relax_lagrangian"] <= calls["relax_solve"]
+    assert calls["augmented_lagrangian"] == 0
 
 
 class TestBench:

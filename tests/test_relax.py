@@ -39,6 +39,14 @@ def test_penalty_hypothesis_enforced():
         relax_solve(np.zeros(64), PLAN, stock_params(rho_tilde=None), 4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_input_rejected(bad):
+    c_o = random_symbols(np.random.default_rng(28), 3)
+    c_o[1, PLAN.data_idx[5]] = bad
+    with pytest.raises(ValueError, match="finite"):
+        relax_solve(c_o, PLAN, stock_params(), 4)
+
+
 def test_lambda_min_matches_eigen_oracle():
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -69,19 +77,19 @@ class TestRelaxRun:
 
     def test_descent_margin_every_sweep(self):
         params = stock_params(max_iters=50, eps=0.0)
-        _, _, rep = relax_solve(self.c_o, PLAN, params, 4)
+        _, _, rep = relax_solve(self.c_o, PLAN, params, 4, certify=True)
         lhs, rhs = rep.descent_lhs, rep.descent_rhs
         assert np.all(lhs >= rhs - 1e-8 * (1.0 + np.abs(lhs)))
 
     def test_multiplier_identities_from_first_sweep(self):
         params = stock_params(max_iters=50, eps=0.0)
-        _, _, rep = relax_solve(self.c_o, PLAN, params, 4)
+        _, _, rep = relax_solve(self.c_o, PLAN, params, 4, certify=True)
         assert rep.identity_residual[0].max() <= 1e-10
         assert rep.identity_residual.max() <= 1e-9
 
     def test_lagrangian_nonnegative_and_nonincreasing(self):
         params = stock_params(max_iters=50, eps=0.0)
-        _, _, rep = relax_solve(self.c_o, PLAN, params, 4)
+        _, _, rep = relax_solve(self.c_o, PLAN, params, 4, certify=True)
         assert rep.lagrangian.min() >= 0.0
         assert np.all(np.diff(rep.lagrangian, axis=0) <= 1e-10)
 
@@ -91,7 +99,7 @@ class TestRelaxRun:
         params = stock_params(max_iters=6, eps=0.0)
         rng = np.random.default_rng(3)
         c_o = random_symbols(rng, 5)
-        x, c, rep = relax_solve(c_o, PLAN, params, 4)
+        x, c, rep = relax_solve(c_o, PLAN, params, 4, certify=True)
         rho, rho_tilde = 300.0, 100.0
         ac = ifft_oversampled(c, 4)
         u, w = rep.u_final, rep.w_final
@@ -111,7 +119,7 @@ class TestRelaxRun:
 
     def test_stopped_row_keeps_state_of_run_capped_at_its_stop(self):
         params = stock_params(max_iters=80, eps=1e-6)
-        x, c, rep = relax_solve(self.c_o, PLAN, params, 4)
+        x, c, rep = relax_solve(self.c_o, PLAN, params, 4, certify=True)
         stop = (rep.residual < params.eps).argmax(axis=0) + 1
         rows = np.flatnonzero(rep.converged & ~rep.bypassed & (stop < rep.iterations))
         assert rows.size >= 2

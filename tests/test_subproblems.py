@@ -92,6 +92,26 @@ def z_oracle(b, alpha):
     return best
 
 
+def bisection_x_update(b, alpha, iters=200):
+    """``x = t*z`` with ``gamma`` bisected on the clip-rule energy.
+
+    Rows need at least ``n/alpha`` nonzero entries, so that the energy
+    ``sum(min(|b|/(2*gamma), cap)^2)`` crosses 1.
+    """
+    cap = np.sqrt(alpha / b.shape[-1])
+    mag = np.abs(b)
+    lo = np.zeros(b.shape[0])
+    hi = np.maximum(mag.max(axis=-1) / (2 * cap), np.linalg.norm(mag, axis=-1) / 2)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        energy = np.sum(np.minimum(mag / (2 * mid[:, None]), cap) ** 2, axis=-1)
+        lo = np.where(energy > 1.0, mid, lo)
+        hi = np.where(energy > 1.0, hi, mid)
+    z_mag = np.minimum(mag / (2 * hi[:, None]), cap)
+    z = z_mag * np.exp(1j * np.angle(b))
+    return np.sum(z_mag * mag, axis=-1)[:, None] * z
+
+
 def random_feasible_z(rng, n, alpha, count):
     cap_sq = alpha / n
     draws = rng.normal(size=(count * 8, n)) + 1j * rng.normal(size=(count * 8, n))
@@ -303,6 +323,42 @@ class TestXUpdate:
         for alpha in (1.5, 10 ** 0.4, 6.0):
             res = x_update(b, alpha)
             assert papr(res.x).max() <= alpha * (1 + 1e-7)
+
+    def test_mixed_batch_rows_match_rows_alone(self):
+        rng = np.random.default_rng(21)
+        n, alpha = 64, 10 ** 0.4
+        b = rng.normal(size=(9, n)) + 1j * rng.normal(size=(9, n))
+        b[2] = 0.0  # all zero
+        b[4, 3:] = 0.0  # 3 nonzero samples: the clip rule saturates
+        b[6, 20:] = 0.0  # 20 < n/alpha nonzero samples: saturates too
+        b[7, ::2] = 0.0  # half the samples zero, still reaches unit energy
+        res = x_update(b, alpha)
+        assert list(res.degenerate) == [i == 2 for i in range(9)]
+        assert np.all(res.x[2] == 0.0)
+        assert papr(np.delete(res.x, 2, axis=0)).max() <= alpha * (1 + 1e-12)
+        for i in range(9):
+            alone = x_update(b[i], alpha)
+            assert np.array_equal(res.x[i], alone.x) and res.t[i] == alone.t
+
+    def test_large_batch_matches_bisection_and_direction_formula(self):
+        rng = np.random.default_rng(22)
+        alpha = 10 ** 0.4
+        b = rng.normal(size=(5000, 256)) + 1j * rng.normal(size=(5000, 256))
+        b *= rng.uniform(0.1, 10.0, size=(5000, 1))
+        res = x_update(b, alpha)
+
+        def rel_dist(x, ref):
+            return float((np.abs(x - ref).max(axis=-1) / np.abs(ref).max(axis=-1)).max())
+
+        oracle = rel_dist(res.x, bisection_x_update(b, alpha))
+        # x = t*z with z from z_projection and t = Re(z^H b), as formed
+        # before x_update derived t and x from the magnitudes
+        z, _ = z_projection(b, alpha)
+        t = np.maximum(0.0, np.real(np.sum(np.conj(z) * b, axis=-1)))
+        direction = rel_dist(res.x, t[:, None] * z)
+        print(f"x_update vs bisection {oracle:.1e}, vs t*z {direction:.1e} (relative)")
+        assert oracle <= 1e-9
+        assert direction <= 1e-12
 
     def test_zero_rows_flagged_and_mapped_to_zero(self):
         b = np.zeros((3, 8), dtype=complex)
