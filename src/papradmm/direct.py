@@ -33,15 +33,12 @@ class DirectReport:
     symbols repeat their last values with zero residuals.
     ``change_residual`` is the squared step ``||dc||^2 + ||dx||^2`` of each
     sweep, so ``converged`` at ``eps`` means steps of about ``sqrt(eps)``.
-    ``lagrangian`` is the augmented Lagrangian after each sweep; it is
-    recorded only by a run with ``certify=True`` and is ``None`` otherwise.
     """
 
     iterations: int
     bypassed: np.ndarray
     converged: np.ndarray
     change_residual: np.ndarray
-    lagrangian: np.ndarray | None
     mu: np.ndarray
     y_final: np.ndarray
     mu_final: np.ndarray
@@ -50,7 +47,8 @@ class DirectReport:
 def augmented_lagrangian(c, ac, x, y, c_o, plan, rho: float) -> np.ndarray:
     """Objective plus linear and quadratic coupling terms, per symbol.
 
-    ``ac`` is the modulated ``c`` (``A c``), which the sweep already holds.
+    ``ac`` is the modulated ``c`` (``A c``), which a sweep already holds.
+    The engine itself does not evaluate it; its stop rule reads the step.
     """
     gap = ac - x
     dist = row_norm((c - c_o)[..., plan.data_idx]) ** 2
@@ -61,9 +59,7 @@ def augmented_lagrangian(c, ac, x, y, c_o, plan, rho: float) -> np.ndarray:
     )
 
 
-def direct_solve(
-    c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int, *, certify: bool = False
-):
+def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int):
     """Run the direct engine on a batch of symbols.
 
     Parameters
@@ -75,9 +71,6 @@ def direct_solve(
         symbol stops once its squared step ``||dc||^2 + ||dx||^2`` falls
         below ``params.eps``; for :func:`direct_kkt_residual` to certify a
         bound ``tau``, pick ``params.eps`` of about ``tau**2`` or less.
-    certify
-        Also trace the augmented Lagrangian of every sweep (one more pass
-        over the batch per sweep); the iterates do not depend on it.
 
     Returns
     -------
@@ -113,8 +106,6 @@ def direct_solve(
         y_new = where_active(y + rho * (ac - x_new), y)
         change = row_norm(c_new - s["c"]) ** 2 + row_norm(x_new - x) ** 2
         trace = {"mu": where_active(cres.mu, np.nan)}
-        if certify:
-            trace["lagr"] = augmented_lagrangian(c_new, ac, x_new, y_new, c_o, plan, rho)
         mu = where_active(cres.mu, s["mu"])
         return {"c": c_new, "x": x_new, "y": y_new, "mu": mu}, change, trace
 
@@ -125,7 +116,6 @@ def direct_solve(
             bypassed=sweeps.bypassed,
             converged=sweeps.converged,
             change_residual=sweeps.residual,
-            lagrangian=sweeps.trace("lagr") if certify else None,
             mu=sweeps.trace("mu"),
             y_final=sweeps.state["y"],
             mu_final=sweeps.state["mu"],
