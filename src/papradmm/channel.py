@@ -56,14 +56,19 @@ def noise_variance_per_sample(ebn0_db: float, eb: float, n_samples: int) -> floa
     return n0 / n_samples
 
 
+# Native signal bandwidth the tap delays are interpreted at; the drivers
+# sample the channel at ``oversample * NATIVE_BANDWIDTH_HZ``.
+NATIVE_BANDWIDTH_HZ = 20e6
+
+
 @dataclass(frozen=True)
 class MultipathProfile:
     """Static tap-delay line; delays in ns on the oversampled grid.
 
     The default is a four-path profile with a unit direct path.  Delays are
-    rounded to samples at ``sample_rate``; the model is interpreted at a
-    20 MHz native bandwidth, so the usual over-sampling factor of 4 puts the
-    default taps at sample offsets (0, 15, 24, 32).
+    rounded to samples at ``sample_rate``; at ``NATIVE_BANDWIDTH_HZ`` the
+    usual over-sampling factor of 4 puts the default taps at sample offsets
+    (0, 15, 24, 32).
     """
 
     delays_ns: tuple = (0.0, 190.0, 300.0, 400.0)

@@ -32,30 +32,16 @@ class ExperimentConfig:
     n_symbols: int = 5000
     alpha_db: float = 4.0
     beta: float = 0.15
-    beta_grid: tuple = (0.0, 0.15, 0.3)
     rho: float | None = None
     rho_tilde: float | None = None
     iterations: int = 5
-    rcf_iterations: int = 10
-    eps: float = 1e-8
     seed: int = 12345
     ebn0_db: tuple = (2.0, 4.0, 6.0, 8.0, 10.0, 12.0)
     channel: str = "awgn"
     pa_enabled: bool = True
-    sspa_p: float = 3.0
-    ibo_db: float = 4.1
-    bandwidth_hz: float = 20e6
-    ccdf_min_db: float = 2.0
-    ccdf_max_db: float = 12.0
-    ccdf_step_db: float = 0.05
-    psd_seg_len: int = 1024
-    bench_sizes: tuple = (64.0, 256.0, 1024.0)
-    bench_batch: int = 64
-    bench_repeats: int = 5
     workers: int = 1
     out_dir: str = "results"
 
-    _FLOAT_TUPLES = ("beta_grid", "ebn0_db", "bench_sizes")
     _CHANNELS = ("awgn", "multipath")
 
     def validate(self) -> "ExperimentConfig":
@@ -72,8 +58,8 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
         if self.alpha_db <= 0:
             raise ConfigError("alpha_db must be > 0")
-        if self.beta < 0 or any(b < 0 for b in self.beta_grid):
-            raise ConfigError("beta values must be >= 0")
+        if self.beta < 0:
+            raise ConfigError("beta must be >= 0")
         if self.oversample < 1:
             raise ConfigError("oversample must be >= 1")
         if self.n_symbols < 1 or self.iterations < 0:
@@ -85,6 +71,10 @@ class ExperimentConfig:
             )
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not self.ebn0_db:
+            raise ConfigError("ebn0_db must list at least one value")
         return self
 
     def resolved_penalties(self, solver: str) -> tuple:
@@ -99,8 +89,12 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
         """Parse a line-based ``key = value`` file (``#`` starts a comment)."""
+        try:
+            fh = open(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
         values = {}
-        with open(path) as fh:
+        with fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -127,12 +121,12 @@ class ExperimentConfig:
         if not isinstance(value, str):
             return value
         text = value.strip()
-        if key in self._FLOAT_TUPLES:
+        current = getattr(type(self)(), key)
+        if isinstance(current, tuple):  # ebn0_db
             try:
                 return _parse_float_list(text)
             except ValueError as exc:
                 raise ConfigError(f"bad list for {key!r}: {text!r}") from exc
-        current = getattr(type(self)(), key)
         try:
             if isinstance(current, bool):
                 if text.lower() in ("1", "true", "yes", "on"):

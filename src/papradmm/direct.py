@@ -39,7 +39,6 @@ class DirectReport:
     bypassed: np.ndarray
     converged: np.ndarray
     change_residual: np.ndarray
-    mu: np.ndarray
     y_final: np.ndarray
     mu_final: np.ndarray
 
@@ -105,9 +104,8 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
         x_new = where_active(xres.x, x)
         y_new = where_active(y + rho * (ac - x_new), y)
         change = row_norm(c_new - s["c"]) ** 2 + row_norm(x_new - x) ** 2
-        trace = {"mu": where_active(cres.mu, np.nan)}
         mu = where_active(cres.mu, s["mu"])
-        return {"c": c_new, "x": x_new, "y": y_new, "mu": mu}, change, trace
+        return {"c": c_new, "x": x_new, "y": y_new, "mu": mu}, change, {}
 
     sweeps = run_sweeps(c_o, plan, params, oversample, start, step)
     return sweeps.result(
@@ -116,7 +114,6 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
             bypassed=sweeps.bypassed,
             converged=sweeps.converged,
             change_residual=sweeps.residual,
-            mu=sweeps.trace("mu"),
             y_final=sweeps.state["y"],
             mu_final=sweeps.state["mu"],
         )

@@ -107,10 +107,6 @@ class CarrierPlan:
         combined = np.concatenate([data, free])
         if combined.size != n or np.any(np.sort(combined) != np.arange(n)):
             raise ValueError("data_idx and free_idx must disjointly cover 0..N-1")
-        data_mask = np.zeros(n, dtype=bool)
-        data_mask[data] = True
-        object.__setattr__(self, "data_mask", data_mask)
-        object.__setattr__(self, "free_mask", ~data_mask)
 
     @property
     def n_data(self) -> int:

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import dsp, metrics
 from .channel import (
+    NATIVE_BANDWIDTH_HZ,
     MultipathProfile,
     SspaParams,
     channel_frequency_response,
@@ -32,6 +33,16 @@ from .relax import relax_solve
 
 _BITS_STAGE = 0
 _NOISE_STAGE = 1
+
+# FCPO bounds of the table2 rows
+BETA_GRID = (0.0, 0.15, 0.3)
+# PAPR thresholds of the ccdf curves: 2 to 12 dB in 0.05 dB steps
+CCDF_THRESHOLDS_DB = np.arange(2.0, 12.0 + 0.05 / 2, 0.05)
+PSD_SEG_LEN = 1024
+# bench: carrier counts, symbols per timed batch, timed repeats (best kept)
+BENCH_SIZES = (64, 256, 1024)
+BENCH_BATCH = 64
+BENCH_REPEATS = 5
 
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:
@@ -60,7 +71,7 @@ def generate_bits(cfg: ExperimentConfig, n_symbols: int, const, plan) -> np.ndar
 
 
 def admm_params(
-    cfg: ExperimentConfig, solver: str, beta=None, iterations=None, eps=None
+    cfg: ExperimentConfig, solver: str, beta=None, iterations=None, eps=AdmmParams.eps
 ) -> AdmmParams:
     rho, rho_tilde = cfg.resolved_penalties(solver)
     return AdmmParams(
@@ -69,7 +80,7 @@ def admm_params(
         rho=rho,
         rho_tilde=rho_tilde,
         max_iters=cfg.iterations if iterations is None else iterations,
-        eps=cfg.eps if eps is None else eps,
+        eps=eps,
     )
 
 
@@ -78,12 +89,7 @@ def _solve_chunk(cfg, solver, c_o, plan, beta=None):
     if solver == "none":
         return dsp.ifft_oversampled(c_o, cfg.oversample), c_o
     if solver == "rcf":
-        x = rcf(
-            c_o,
-            plan,
-            RcfParams(cfg.alpha_db, cfg.rcf_iterations),
-            cfg.oversample,
-        )
+        x = rcf(c_o, plan, RcfParams(cfg.alpha_db), cfg.oversample)
         return x, dsp.fft_oversampled(x, cfg.oversample)
     params = admm_params(cfg, solver=solver, beta=beta)
     if solver == "direct":
@@ -137,7 +143,7 @@ def run_table2(cfg: ExperimentConfig):
     plan, _, _, c_o = _symbols(cfg, cfg.n_symbols)
     rows = [("solver", "beta", "evm_db")]
     for solver in ("direct", "relax"):
-        for beta in cfg.beta_grid:
+        for beta in BETA_GRID:
             _, c = solve_batch(cfg, solver, c_o, plan, beta=beta)
             value = metrics.evm_db(c, c_o, plan)
             rows.append((solver, float(beta), round(value, 4)))
@@ -147,15 +153,12 @@ def run_table2(cfg: ExperimentConfig):
 def run_ccdf(cfg: ExperimentConfig):
     """PAPR exceedance curves for the original signal and each solver."""
     plan, _, _, c_o = _symbols(cfg, cfg.n_symbols)
-    thresholds = np.arange(
-        cfg.ccdf_min_db, cfg.ccdf_max_db + cfg.ccdf_step_db / 2, cfg.ccdf_step_db
-    )
     rows = [("solver", "threshold_db", "ccdf")]
     for solver in ("none", "direct", "relax", "rcf"):
         x, _ = solve_batch(cfg, solver, c_o, plan)
-        curve = metrics.ccdf(dsp.papr_db(x), thresholds)
+        curve = metrics.ccdf(dsp.papr_db(x), CCDF_THRESHOLDS_DB)
         label = "original" if solver == "none" else solver
-        for t, p in zip(thresholds, curve):
+        for t, p in zip(CCDF_THRESHOLDS_DB, curve):
             rows.append((label, round(float(t), 4), float(p)))
     return rows
 
@@ -218,7 +221,7 @@ def run_ber(cfg: ExperimentConfig, solvers=("none", "direct", "relax", "rcf")):
     plan, const, bits, c_o = _symbols(cfg, cfg.n_symbols)
     n_samples = cfg.n_carriers * cfg.oversample
     profile = MultipathProfile()
-    h = profile.impulse_response(cfg.oversample * cfg.bandwidth_hz)
+    h = profile.impulse_response(cfg.oversample * NATIVE_BANDWIDTH_HZ)
     resp = channel_frequency_response(h, n_samples, cfg.n_carriers)
     rows = [("solver", "channel", "ebn0_db", "ber", "bits")]
     for solver in solvers:
@@ -227,8 +230,8 @@ def run_ber(cfg: ExperimentConfig, solvers=("none", "direct", "relax", "rcf")):
         es_bar = float(np.mean(np.linalg.norm(c_tx, axis=-1) ** 2))
         eb = es_bar / (plan.n_data * const.bits_per_symbol)
         if cfg.pa_enabled:
-            a_sat = saturation_amplitude(x_clean, cfg.ibo_db)
-            x_tx = sspa(x_clean, SspaParams(cfg.sspa_p, cfg.ibo_db), a_sat=a_sat)
+            a_sat = saturation_amplitude(x_clean, SspaParams().input_backoff_db)
+            x_tx = sspa(x_clean, a_sat=a_sat)
         else:
             x_tx = x_clean
         for ebn0 in cfg.ebn0_db:
@@ -265,9 +268,9 @@ def run_psd(cfg: ExperimentConfig, solvers=("none", "direct", "relax", "rcf")):
     """Normalized emission spectra after the PA, one curve per solver."""
     n_symbols = min(cfg.n_symbols, 1000)
     n_samples = n_symbols * cfg.oversample * cfg.n_carriers
-    if n_samples < cfg.psd_seg_len:
+    if n_samples < PSD_SEG_LEN:
         raise ConfigError(
-            f"psd needs at least psd_seg_len = {cfg.psd_seg_len} samples, but "
+            f"psd needs at least psd_seg_len = {PSD_SEG_LEN} samples, but "
             f"{n_symbols} symbols give {n_samples}"
         )
     plan, _, _, c_o = _symbols(cfg, n_symbols)
@@ -275,10 +278,8 @@ def run_psd(cfg: ExperimentConfig, solvers=("none", "direct", "relax", "rcf")):
     for solver in solvers:
         x, _ = solve_batch(cfg, solver, c_o, plan)
         if cfg.pa_enabled:
-            x = sspa(x, SspaParams(cfg.sspa_p, cfg.ibo_db))
-        freqs, pxx = metrics.psd(
-            x.ravel(), seg_len=cfg.psd_seg_len, normalize_peak=True
-        )
+            x = sspa(x)
+        freqs, pxx = metrics.psd(x.ravel(), seg_len=PSD_SEG_LEN, normalize_peak=True)
         label = "original" if solver == "none" else solver
         # frequency axis in carrier spacings: sample rate is oversample*N spacings
         scale = cfg.oversample * cfg.n_carriers
@@ -291,12 +292,11 @@ def run_bench(cfg: ExperimentConfig):
     """Per-iteration wall time of the direct engine versus transform size."""
     rows = [("n_carriers", "ln", "seconds_per_iteration", "fft_pair_seconds")]
     rng = np.random.default_rng(cfg.seed)
-    for n_f in cfg.bench_sizes:
-        n = int(n_f)
+    for n in BENCH_SIZES:
         n_data = n - max(2, n // 8)
         plan = dsp.CarrierPlan.default(n, n - n_data)
         const = dsp.Constellation.qpsk()
-        bits = rng.integers(0, 2, size=(cfg.bench_batch, plan.n_data * 2))
+        bits = rng.integers(0, 2, size=(BENCH_BATCH, plan.n_data * 2))
         c_o = dsp.map_bits(bits, const, plan)
         params_warm = admm_params(cfg, solver="direct", iterations=1, eps=0.0)
         direct_solve(c_o, plan, params_warm, cfg.oversample)
@@ -304,7 +304,7 @@ def run_bench(cfg: ExperimentConfig):
         params = admm_params(cfg, solver="direct", iterations=iters, eps=0.0)
         params0 = admm_params(cfg, solver="direct", iterations=0, eps=0.0)
         best = np.inf
-        for _ in range(cfg.bench_repeats):
+        for _ in range(BENCH_REPEATS):
             t0 = time.perf_counter()
             direct_solve(c_o, plan, params, cfg.oversample)
             t1 = time.perf_counter()

@@ -37,7 +37,7 @@ def ccdf(samples_db, thresholds_db) -> np.ndarray:
 
 def psd(
     x,
-    seg_len: int = 1024,
+    seg_len: int,
     window: str = "hann",
     overlap: float = 0.5,
     fs: float = 1.0,

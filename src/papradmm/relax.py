@@ -48,7 +48,6 @@ class RelaxReport:
     descent_lhs: np.ndarray | None
     descent_rhs: np.ndarray | None
     identity_residual: np.ndarray | None
-    mu: np.ndarray
     consensus_gap: np.ndarray
     sd_dist_initial: np.ndarray
     sd_dist_final: np.ndarray
@@ -224,7 +223,7 @@ def relax_solve(
         du_sq = row_norm(u_new - u) ** 2
         dw_sq = row_norm(w_new - w) ** 2
         new = dict(s, c=c, ac=ac, x=x, u=u_new, w=w_new, y1=y1_new, y2=y2_new)
-        trace = {"mu": where_active(cres.mu, np.nan)}
+        trace = {}
         if certify:
             lagr = relax_lagrangian(
                 c, ac, x, u_new, w_new, y1_new, y2_new, c_o, plan, rho, rho_tilde
@@ -256,7 +255,6 @@ def relax_solve(
             descent_lhs=certificate("lhs"),
             descent_rhs=certificate("rhs"),
             identity_residual=certificate("ident"),
-            mu=sweeps.trace("mu"),
             consensus_gap=row_norm(ac_final - sweeps.x) ** 2,
             sd_dist_initial=s["sd_dist_initial"],
             sd_dist_final=row_norm((sweeps.c - sweeps.c_o)[..., plan.data_idx]) ** 2,

@@ -23,7 +23,8 @@ class Sweeps:
     """Outcome of :func:`run_sweeps`, always on a 2-D batch.
 
     ``x`` and ``c`` hold the raw signal and ``c_o`` on bypassed rows and the
-    final state everywhere else.  ``residual`` has shape ``(n_iters, K)``.
+    final state everywhere else.  ``residual`` has shape ``(n_iters, K)``;
+    ``rows`` holds one entry per sweep whose step recorded a trace.
     """
 
     c_o: np.ndarray
@@ -38,7 +39,7 @@ class Sweeps:
 
     @property
     def iterations(self) -> int:
-        return len(self.rows)
+        return len(self.residual)
 
     def trace(self, name: str) -> np.ndarray:
         """Per-sweep values of one trace entry, shape ``(n_iters, K)``."""
@@ -58,7 +59,8 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step)
     arrays (leading axis = symbol) that holds at least ``"c"`` and ``"x"``.
     ``step(c_o, state, where_active)`` returns ``(state, residual, trace)``:
     the next state, the squared step that the stop at ``params.eps``
-    compares, and a dict of per-symbol values to record for this sweep.
+    compares, and a dict of per-symbol values to record for this sweep (empty
+    to record nothing).
     ``where_active(new, old)`` takes ``new`` on symbols still running and
     ``old`` on stopped ones; the step applies it to every state array it
     updates, so a stopped symbol keeps its state and traces its last values
@@ -91,7 +93,8 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step)
         all_active = np.all(active)
         state, residual, row = step(c_o, state, where_active)
         residuals.append(residual)
-        rows.append(row)
+        if row:
+            rows.append(row)
         done = done | (active & (residual < params.eps))
 
     return Sweeps(

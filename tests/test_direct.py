@@ -154,7 +154,7 @@ class TestDirectSolve:
         f_sq = np.linalg.norm(c[:, PLAN.free_idx], axis=-1) ** 2
         d_sq = np.linalg.norm(c[:, PLAN.data_idx], axis=-1) ** 2
         assert np.all(f_sq <= 0.15 * d_sq + 1e-9)
-        assert np.all(report.mu[-1][~report.bypassed] >= 0.0)
+        assert np.all(report.mu_final[~report.bypassed] >= 0.0)
 
     def test_dual_update_identity(self):
         # y' - y = rho*(Ac' - x') holds exactly for the recorded final sweep

@@ -130,11 +130,6 @@ class TestCarrierPlan:
         assert plan.free_idx[0] == 0
         assert list(plan.free_idx[1:]) == list(range(53, 64))
 
-    def test_masks_partition_identity(self):
-        plan = CarrierPlan.default(64, 12)
-        assert np.all(plan.data_mask ^ plan.free_mask)
-        assert not np.any(plan.data_mask & plan.free_mask)
-
     def test_overlapping_sets_rejected(self):
         with pytest.raises(ValueError):
             CarrierPlan(4, data_idx=[0, 1, 2], free_idx=[2, 3])

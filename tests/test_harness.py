@@ -48,10 +48,17 @@ class TestConfig:
         assert cfg.pa_enabled is False
 
     def test_unknown_key_rejected(self, tmp_path):
+        # besides no_such_knob: names of module constants, which no file may set
         path = tmp_path / "bad.cfg"
-        path.write_text("no_such_knob = 1\n")
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_file(str(path))
+        for key in (
+            "no_such_knob", "beta_grid", "rcf_iterations", "eps", "sspa_p",
+            "ibo_db", "bandwidth_hz", "ccdf_min_db", "ccdf_max_db",
+            "ccdf_step_db", "psd_seg_len", "bench_sizes", "bench_batch",
+            "bench_repeats",
+        ):
+            path.write_text(f"{key} = 1\n")
+            with pytest.raises(ConfigError, match=key):
+                ExperimentConfig.from_file(str(path))
 
     def test_inconsistent_counts_rejected(self):
         with pytest.raises(ConfigError):
@@ -136,6 +143,27 @@ class TestCli:
         code = main(["table2", "--rho", "100", "--out", str(tmp_path)])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_missing_config_file_exit_code(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        code = main(["table2", "--config", str(missing), "--out", str(tmp_path)])
+        assert code == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        # SeedSequence takes only non-negative entropy
+        code = main(["table2", "--seed", "-1", "--symbols", "2", "--out", str(tmp_path)])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "table2.csv").exists()
+
+    def test_empty_ebn0_grid_exit_code(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("ebn0_db =\n")
+        code = main(["ber", "--config", str(cfg_file), "--symbols", "2", "--out", str(tmp_path)])
+        assert code == 2
+        assert "ebn0_db" in capsys.readouterr().err
+        assert not (tmp_path / "ber.csv").exists()
 
     def test_carrier_count_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -261,7 +289,7 @@ def test_drivers_skip_per_sweep_lagrangians(monkeypatch):
     counting(experiments, "relax_solve")
     cfg = ExperimentConfig().with_overrides(n_symbols=20, iterations=5)
     experiments.run_table2(cfg)
-    assert calls["relax_solve"] == len(cfg.beta_grid)
+    assert calls["relax_solve"] == len(experiments.BETA_GRID)
     assert calls["relax_lagrangian"] <= calls["relax_solve"]
     assert calls["augmented_lagrangian"] == 0
 
