@@ -1,6 +1,6 @@
 """Transmitter back end and channel models: SSPA, multipath, equalizer.
 
-The drivers add receiver noise themselves (``experiments._noise_batch``).
+The drivers add receiver noise themselves (``experiments._unit_noise``).
 """
 
 import numpy as np

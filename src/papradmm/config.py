@@ -1,6 +1,7 @@
 """Experiment configuration: defaults, key=value config files, CLI overrides."""
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .dsp import Constellation
@@ -45,6 +46,13 @@ class ExperimentConfig:
     _CHANNELS = ("awgn", "multipath")
 
     def validate(self) -> "ExperimentConfig":
+        # NaN passes every range check below, since it compares false
+        for key in ("alpha_db", "beta", "rho", "rho_tilde"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+        if not all(math.isfinite(v) for v in self.ebn0_db):
+            raise ConfigError(f"ebn0_db must be finite, got {self.ebn0_db}")
         if not 0 < self.n_free < self.n_carriers:
             raise ConfigError(
                 f"n_free ({self.n_free}) must be in 1..n_carriers-1 "

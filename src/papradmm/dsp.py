@@ -14,7 +14,7 @@ Conventions used throughout the package:
 """
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class DegenerateSymbolError(ValueError):
@@ -150,15 +150,23 @@ def _gray_pam_levels(n_bits: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Constellation:
-    """Gray-mapped constellation with unit average energy.
+    """Gray-mapped product-grid constellation with unit average energy.
 
     ``points[b]`` is the complex point whose bit label is the integer ``b``
     read MSB-first; neighbouring points differ in exactly one label bit.
+    The points must form a grid, every real level paired with every
+    imaginary level, so the hard decision splits into one decision per rail:
+    ``re_bounds``/``im_bounds`` are the midpoints between adjacent levels,
+    and ``grid_bits[r, i]`` holds the label bits of the point on real level
+    ``r`` and imaginary level ``i`` (levels in ascending order).
     """
 
     kind: str
     bits_per_symbol: int
     points: np.ndarray
+    re_bounds: np.ndarray = field(init=False, repr=False, compare=False)
+    im_bounds: np.ndarray = field(init=False, repr=False, compare=False)
+    grid_bits: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = _as_complex(self.points)
@@ -168,6 +176,16 @@ class Constellation:
         energy = np.mean(np.abs(pts) ** 2)
         if abs(energy - 1.0) > 1e-12:
             raise ValueError(f"constellation average energy is {energy}, expected 1")
+        re_levels, re_idx = np.unique(pts.real, return_inverse=True)
+        im_levels, im_idx = np.unique(pts.imag, return_inverse=True)
+        grid = np.full((re_levels.size, im_levels.size), -1)
+        grid[re_idx, im_idx] = np.arange(pts.size)
+        if grid.size != pts.size or np.any(grid < 0):
+            raise ValueError(f"{self.kind} points do not form a product grid")
+        shifts = np.arange(self.bits_per_symbol - 1, -1, -1)
+        object.__setattr__(self, "re_bounds", (re_levels[:-1] + re_levels[1:]) / 2.0)
+        object.__setattr__(self, "im_bounds", (im_levels[:-1] + im_levels[1:]) / 2.0)
+        object.__setattr__(self, "grid_bits", ((grid[..., None] >> shifts) & 1).astype(np.int8))
 
     @classmethod
     def qpsk(cls) -> "Constellation":
@@ -213,12 +231,14 @@ def map_bits(bits, const: Constellation, plan: CarrierPlan) -> np.ndarray:
 
 
 def demap_bits(c, const: Constellation, plan: CarrierPlan) -> np.ndarray:
-    """Minimum-distance hard decision on the data carriers."""
-    c = _as_complex(c)
-    data = c[..., plan.data_idx]
-    d2 = np.abs(data[..., None] - const.points) ** 2
-    labels = d2.argmin(axis=-1)
-    k = const.bits_per_symbol
-    shifts = np.arange(k - 1, -1, -1)
-    bits = (labels[..., None] >> shifts) & 1
-    return bits.reshape(c.shape[:-1] + (plan.n_data * k,)).astype(np.int8)
+    """Minimum-distance hard decision on the data carriers, one rail at a time.
+
+    On a product grid the nearest point pairs the nearest real level with
+    the nearest imaginary level.  A sample exactly on a decision boundary
+    takes the lower level; either neighbour is at the minimum distance.
+    """
+    data = _as_complex(c)[..., plan.data_idx]
+    re = np.searchsorted(const.re_bounds, data.real)
+    im = np.searchsorted(const.im_bounds, data.imag)
+    bits = const.grid_bits[re, im]
+    return bits.reshape(bits.shape[:-2] + (plan.n_data * const.bits_per_symbol,))

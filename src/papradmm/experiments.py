@@ -217,13 +217,18 @@ def run_ber(cfg: ExperimentConfig, solvers=("none", "direct", "relax", "rcf")):
     requested Eb/N0.  With ``channel=multipath`` each symbol goes through an
     ideal cyclic prefix, so the channel is a circular convolution, and the
     known tap response is equalized away (perfect CSI).
+
+    Each solver is solved, amplified and sent through the channel once.  The
+    unit noise of each Eb/N0 point is drawn once, one stream per symbol, and
+    shared by every solver, each scaling it to its own noise variance.  Rows
+    come out solver by solver, each over the Eb/N0 grid.
     """
     plan, const, bits, c_o = _symbols(cfg, cfg.n_symbols)
     n_samples = cfg.n_carriers * cfg.oversample
     profile = MultipathProfile()
     h = profile.impulse_response(cfg.oversample * NATIVE_BANDWIDTH_HZ)
     resp = channel_frequency_response(h, n_samples, cfg.n_carriers)
-    rows = [("solver", "channel", "ebn0_db", "ber", "bits")]
+    received = []  # (noiseless received batch, Eb) per solver
     for solver in solvers:
         x_clean, _ = solve_batch(cfg, solver, c_o, plan)
         c_tx = dsp.fft_oversampled(x_clean, cfg.oversample)
@@ -234,32 +239,35 @@ def run_ber(cfg: ExperimentConfig, solvers=("none", "direct", "relax", "rcf")):
             x_tx = sspa(x_clean, a_sat=a_sat)
         else:
             x_tx = x_clean
-        for ebn0 in cfg.ebn0_db:
+        clean = multipath_apply(x_tx, h) if cfg.channel == "multipath" else x_tx
+        received.append((clean, eb))
+    results = [[] for _ in solvers]
+    for ebn0 in cfg.ebn0_db:
+        unit = _unit_noise(cfg, (cfg.n_symbols, n_samples), int(round(ebn0 * 1000)))
+        for out, (clean, eb) in zip(results, received):
             var = noise_variance_per_sample(ebn0, eb, n_samples)
-            ebn0_key = int(round(ebn0 * 1000))
-            if cfg.channel == "multipath":
-                clean = multipath_apply(x_tx, h)
-            else:
-                clean = x_tx
-            noise = _noise_batch(cfg, clean.shape, var, ebn0_key)
-            c_hat = dsp.fft_oversampled(clean + noise, cfg.oversample)
+            c_hat = dsp.fft_oversampled(clean + unit * np.sqrt(var / 2.0), cfg.oversample)
             if cfg.channel == "multipath":
                 c_hat = equalize_zero_forcing(c_hat, resp)
             acc = metrics.MetricAccumulator()
             acc.add_bits(bits, dsp.demap_bits(c_hat, const, plan))
-            rows.append(
-                (solver, cfg.channel, float(ebn0), acc.ber_value, acc.bits_total)
-            )
+            out.append((float(ebn0), acc.ber_value, acc.bits_total))
+    rows = [("solver", "channel", "ebn0_db", "ber", "bits")]
+    for solver, out in zip(solvers, results):
+        rows.extend((solver, cfg.channel, *point) for point in out)
     return rows
 
 
-def _noise_batch(cfg, shape, noise_var, ebn0_key) -> np.ndarray:
-    """Complex noise with one deterministic stream per symbol index."""
+def _unit_noise(cfg, shape, ebn0_key) -> np.ndarray:
+    """Complex noise with standard normal rails, one stream per symbol index.
+
+    Row ``i`` takes ``2 * shape[1]`` standard normals from its stream: the
+    first half is the real part, the second the imaginary part.  Scaled by
+    ``sqrt(var / 2)`` it is noise of per-sample variance ``var``.
+    """
     out = np.empty(shape, dtype=np.complex128)
-    scale = np.sqrt(noise_var / 2.0)
     for i in range(shape[0]):
-        rng = rng_for(cfg.seed, i, _NOISE_STAGE, ebn0_key)
-        block = rng.normal(scale=scale, size=(2, shape[1]))
+        block = rng_for(cfg.seed, i, _NOISE_STAGE, ebn0_key).standard_normal((2, shape[1]))
         out[i] = block[0] + 1j * block[1]
     return out
 

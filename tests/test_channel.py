@@ -20,7 +20,7 @@ from papradmm import (
 )
 
 from papradmm.config import ExperimentConfig
-from papradmm.experiments import _noise_batch
+from papradmm.experiments import _NOISE_STAGE, _unit_noise, rng_for
 
 PLAN = CarrierPlan.default(64, 12)
 
@@ -62,17 +62,28 @@ class TestSspa:
 
 
 class TestAwgn:
-    """The drivers' receiver noise, ``experiments._noise_batch``."""
+    """The drivers' receiver noise, ``experiments._unit_noise`` scaled by sqrt(var/2)."""
 
     def test_zero_noise_is_identity(self):
         x = np.ones((2, 16), dtype=complex)
-        noise = _noise_batch(ExperimentConfig(seed=0), x.shape, 0.0, 0)
+        noise = _unit_noise(ExperimentConfig(seed=0), x.shape, 0) * np.sqrt(0.0 / 2.0)
         assert np.array_equal(x + noise, x)
 
     def test_empirical_variance(self):
-        noise = _noise_batch(ExperimentConfig(seed=1), (1000, 1000), 0.25, 0)
+        noise = _unit_noise(ExperimentConfig(seed=1), (1000, 1000), 0) * np.sqrt(0.25 / 2.0)
         measured = np.mean(np.abs(noise) ** 2)
         assert measured == pytest.approx(0.25, rel=0.02)
+
+    @pytest.mark.parametrize("var", [1e-9, 3.7e-4, 0.25, 1.0, 42.0])
+    def test_scaled_unit_noise_is_the_per_row_draw(self, var):
+        # oracle: each row drawn at scale sqrt(var/2) from its own stream
+        cfg, shape, key = ExperimentConfig(seed=3), (7, 256), 6000
+        scale = np.sqrt(var / 2.0)
+        want = np.empty(shape, dtype=np.complex128)
+        for i in range(shape[0]):
+            block = rng_for(cfg.seed, i, _NOISE_STAGE, key).normal(scale=scale, size=(2, shape[1]))
+            want[i] = block[0] + 1j * block[1]
+        assert np.array_equal(_unit_noise(cfg, shape, key) * scale, want)
 
     def test_qpsk_ber_matches_q_function(self):
         rng = np.random.default_rng(2)
@@ -85,7 +96,7 @@ class TestAwgn:
         cfg = ExperimentConfig(seed=2)
         for ebn0_db in (4.0, 6.0):
             var = noise_variance_per_sample(ebn0_db, eb, 256)
-            rx = x + _noise_batch(cfg, x.shape, var, int(ebn0_db * 1000))
+            rx = x + _unit_noise(cfg, x.shape, int(ebn0_db * 1000)) * np.sqrt(var / 2.0)
             got = demap_bits(fft_oversampled(rx, 4), const, PLAN)
             n_err = int(np.sum(got != bits))
             n_bits = bits.size

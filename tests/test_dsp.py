@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from papradmm import (
     CarrierPlan,
@@ -200,3 +202,98 @@ class TestMapping:
     def test_wrong_bit_count_rejected(self):
         with pytest.raises(ValueError):
             map_bits(np.zeros(13), Constellation.qpsk(), self.plan)
+
+
+def oracle_demap(c, const, plan):
+    """Minimum-distance search over every constellation point."""
+    data = np.asarray(c, dtype=complex)[..., plan.data_idx]
+    labels = (np.abs(data[..., None] - const.points) ** 2).argmin(axis=-1)
+    shifts = np.arange(const.bits_per_symbol - 1, -1, -1)
+    bits = (labels[..., None] >> shifts) & 1
+    return bits.reshape(c.shape[:-1] + (plan.n_data * const.bits_per_symbol,)).astype(np.int8)
+
+
+def chosen_points(bits, const):
+    """Constellation points named by MSB-first label bits."""
+    groups = bits.reshape(-1, const.bits_per_symbol)
+    weights = 1 << np.arange(const.bits_per_symbol - 1, -1, -1)
+    return const.points[groups @ weights]
+
+
+def decision_boundaries(const):
+    """Midpoints between adjacent levels of each rail, from the points alone."""
+    out = []
+    for rail in (const.points.real, const.points.imag):
+        levels = np.unique(rail)
+        out.append((levels[:-1] + levels[1:]) / 2.0)
+    return out
+
+
+def assert_matches_oracle(values, const):
+    """Bits equal the oracle's; where the nearest point ties, a nearest one is picked."""
+    n = len(values)
+    plan = CarrierPlan(n + 1, data_idx=np.arange(n), free_idx=[n])
+    c = np.append(np.asarray(values, dtype=complex), 0.0)
+    got = demap_bits(c, const, plan)
+    d2 = np.abs(c[:n, None] - const.points) ** 2
+    d2_sorted = np.sort(d2, axis=-1)
+    tie = d2_sorted[:, 1] - d2_sorted[:, 0] <= 1e-12
+    k = const.bits_per_symbol
+    want = oracle_demap(c, const, plan).reshape(n, k)
+    assert np.array_equal(got.reshape(n, k)[~tie], want[~tie])
+    d2_picked = np.abs(c[:n] - chosen_points(got, const)) ** 2
+    assert np.all(d2_picked <= d2_sorted[:, 0] + 1e-12)
+    return tie
+
+
+CONSTELLATIONS = st.sampled_from(["qpsk", "16qam"]).map(Constellation.from_name)
+RAIL = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+class TestPerRailDemap:
+    """The per-rail decision against the full minimum-distance search."""
+
+    @settings(deadline=None)
+    @given(
+        const=CONSTELLATIONS,
+        values=st.lists(
+            st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=32,
+        ),
+    )
+    def test_random_carriers_match_oracle(self, const, values):
+        assert_matches_oracle(values, const)
+
+    @settings(deadline=None)
+    @given(const=CONSTELLATIONS, other=st.lists(RAIL, min_size=1, max_size=4))
+    def test_points_beside_every_boundary_match_oracle(self, const, other):
+        re_bounds, im_bounds = decision_boundaries(const)
+        values = []
+        for y in other:
+            for offset in (-1e-9, 1e-9):
+                values += [complex(b + offset, y) for b in re_bounds]
+                values += [complex(y, b + offset) for b in im_bounds]
+        assert_matches_oracle(values, const)
+
+    @settings(deadline=None)
+    @given(const=CONSTELLATIONS, other=st.lists(RAIL, min_size=1, max_size=4))
+    def test_boundary_ties_pick_a_nearest_point(self, const, other):
+        re_bounds, im_bounds = decision_boundaries(const)
+        values = [complex(b, y) for y in other for b in re_bounds]
+        values += [complex(y, b) for y in other for b in im_bounds]
+        values += [complex(br, bi) for br in re_bounds for bi in im_bounds]
+        assert assert_matches_oracle(values, const).all()
+
+    def test_batch_shape_round_trip(self):
+        const = Constellation.qam16()
+        plan = CarrierPlan.default(64, 12)
+        rng = np.random.default_rng(8)
+        c = rng.normal(size=(3, 5, 64)) + 1j * rng.normal(size=(3, 5, 64))
+        got = demap_bits(c, const, plan)
+        assert got.shape == (3, 5, plan.n_data * 4) and got.dtype == np.int8
+        assert np.array_equal(got, oracle_demap(c, const, plan))
+
+    def test_non_grid_constellation_rejected(self):
+        eight_psk = np.exp(2j * np.pi * np.arange(8) / 8)
+        with pytest.raises(ValueError, match="grid"):
+            Constellation("8psk", 3, eight_psk)

@@ -193,6 +193,23 @@ class TestCli:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["alpha-db", "beta", "rho", "rho-tilde"])
+    def test_nan_setting_exit_code(self, tmp_path, capsys, key):
+        # NaN compares false, so it slips past a bare range check
+        code = main(["ber", f"--{key}", "nan", "--symbols", "4", "--out", str(tmp_path)])
+        assert code == 2
+        assert key.replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "ber.csv").exists()
+
+    @pytest.mark.parametrize("grid", ["6, nan", "inf"])
+    def test_non_finite_ebn0_exit_code(self, tmp_path, capsys, grid):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"ebn0_db = {grid}\n")
+        code = main(["ber", "--config", str(cfg_file), "--symbols", "4", "--out", str(tmp_path)])
+        assert code == 2
+        assert "ebn0_db" in capsys.readouterr().err
+        assert not (tmp_path / "ber.csv").exists()
+
     def test_cli_override_beats_config_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("n_symbols = 10000\n")
@@ -268,25 +285,72 @@ class TestBerDriver:
             assert multi_ber[solver] > awgn_ber[solver]
 
 
+def count_calls(monkeypatch, module, name, calls):
+    """Replace ``module.name`` with a wrapper that adds one to ``calls[name]``."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+# Bit errors per solver over the default Eb/N0 grid (2..12 dB), 64 16-QAM
+# symbols at seed 7 with the PA on (13312 bits per point).  Computed when
+# each solver still drew its own noise; the shared draw must reproduce them.
+BER_ERRORS_SEED_7 = {
+    "awgn": {
+        "none": (1590, 1038, 617, 338, 123, 51),
+        "direct": (1569, 1038, 581, 329, 105, 41),
+        "relax": (1590, 1035, 630, 387, 171, 81),
+        "rcf": (1805, 1377, 1058, 821, 610, 491),
+    },
+    "multipath": {
+        "none": (1580, 1024, 653, 364, 145, 78),
+        "direct": (1586, 1039, 631, 352, 138, 66),
+        "relax": (1594, 1056, 679, 402, 169, 107),
+        "rcf": (1810, 1388, 1065, 842, 619, 509),
+    },
+}
+
+
+class TestBerLinkStage:
+    @pytest.mark.parametrize("channel", ["awgn", "multipath"])
+    def test_rows_pinned_and_independent_of_workers(self, channel):
+        cfg = ExperimentConfig().with_overrides(n_symbols=64, seed=7, channel=channel)
+        want = [("solver", "channel", "ebn0_db", "ber", "bits")]
+        for solver, errors in BER_ERRORS_SEED_7[channel].items():
+            for ebn0, n_err in zip(cfg.ebn0_db, errors):
+                want.append((solver, channel, ebn0, n_err / 13312, 13312))
+        one = experiments.run_ber(cfg.with_overrides(workers=1))
+        two = experiments.run_ber(cfg.with_overrides(workers=2))
+        assert one == want
+        assert two == want
+
+    def test_noise_drawn_once_per_symbol_and_channel_once_per_solver(self, monkeypatch):
+        calls = {"rng_for": 0, "multipath_apply": 0}
+        for name in calls:
+            count_calls(monkeypatch, experiments, name, calls)
+        cfg = ExperimentConfig().with_overrides(
+            n_symbols=6, iterations=2, ebn0_db="4,8,12", channel="multipath"
+        )
+        solvers = ("none", "direct", "relax", "rcf")
+        experiments.run_ber(cfg, solvers=solvers)
+        # one bit stream per symbol, then one noise stream per (symbol, Eb/N0)
+        assert calls["rng_for"] == cfg.n_symbols * (1 + len(cfg.ebn0_db))
+        assert calls["multipath_apply"] == len(solvers)
+
+
 def test_drivers_skip_per_sweep_lagrangians(monkeypatch):
     # the drivers read no certificate trace, so no sweep may pay for one;
     # the relaxed engine evaluates its initial Lagrangian once per solve
     from papradmm import direct, relax
 
     calls = {"relax_solve": 0, "relax_lagrangian": 0, "augmented_lagrangian": 0}
-
-    def counting(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(relax, "relax_lagrangian")
-    counting(direct, "augmented_lagrangian")
-    counting(experiments, "relax_solve")
+    count_calls(monkeypatch, relax, "relax_lagrangian", calls)
+    count_calls(monkeypatch, direct, "augmented_lagrangian", calls)
+    count_calls(monkeypatch, experiments, "relax_solve", calls)
     cfg = ExperimentConfig().with_overrides(n_symbols=20, iterations=5)
     experiments.run_table2(cfg)
     assert calls["relax_solve"] == len(experiments.BETA_GRID)
