@@ -7,6 +7,7 @@ rows (list of tuples, first row the header); :func:`write_csv` renders them
 with fixed formatting.
 """
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -43,6 +44,13 @@ PSD_SEG_LEN = 1024
 BENCH_SIZES = (64, 256, 1024)
 BENCH_BATCH = 64
 BENCH_REPEATS = 5
+# Time samples per solve_batch block (128 symbols at 64 carriers and L=4, or
+# 512 KB per complex array).  A sweep makes about thirty temporaries the size
+# of its input.  Batch-sized ones (4 MB each at 1000 symbols) go back to the
+# OS when freed and are faulted in again on the next sweep; block-sized ones
+# mostly stay in the allocator's free lists, and the working set is per
+# block, not per batch.
+BLOCK_SAMPLES = 2**15
 
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:
@@ -100,23 +108,37 @@ def _solve_chunk(cfg, solver, c_o, plan, beta=None):
 
 
 def solve_batch(cfg: ExperimentConfig, solver: str, c_o, plan, beta=None):
-    """Dispatch one symbol batch to a solver, chunked across workers.
+    """Dispatch one symbol batch to a solver in fixed row blocks.
 
-    Chunk boundaries are fixed by symbol index, and chunk outputs are
-    reassembled in order, so the result is independent of ``cfg.workers``.
+    The batch is cut into equal blocks of at most ``BLOCK_SAMPLES`` time
+    samples each, their count a multiple of the thread count, and every block
+    is solved on its own and written in place into preallocated ``x`` and
+    ``c``.  Threads: ``cfg.workers``, but at most one per core and one per
+    row; with one thread the blocks run inline.  Each symbol's solve does
+    not depend on the other symbols in its block, so the result does not
+    depend on ``cfg.workers`` or on where the block boundaries fall.
     """
     c_o = np.atleast_2d(c_o)
-    if cfg.workers == 1 or c_o.shape[0] < 2 * cfg.workers:
-        return _solve_chunk(cfg, solver, c_o, plan, beta)
-    chunks = np.array_split(np.arange(c_o.shape[0]), cfg.workers)
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        futures = [
-            pool.submit(_solve_chunk, cfg, solver, c_o[idx], plan, beta)
-            for idx in chunks if idx.size
-        ]
-        parts = [f.result() for f in futures]
-    x = np.concatenate([p[0] for p in parts], axis=0)
-    c = np.concatenate([p[1] for p in parts], axis=0)
+    n_rows, n_carriers = c_o.shape
+    threads = min(cfg.workers, os.cpu_count() or 1, n_rows)
+    block_rows = max(1, BLOCK_SAMPLES // (cfg.oversample * n_carriers))
+    n_blocks = -(-n_rows // block_rows)
+    n_blocks = -(-n_blocks // threads) * threads
+    bounds = [i * n_rows // n_blocks for i in range(n_blocks + 1)]
+    x = np.empty((n_rows, cfg.oversample * n_carriers), dtype=np.complex128)
+    c = np.empty((n_rows, n_carriers), dtype=np.complex128)
+
+    def solve_block(lo, hi):
+        x[lo:hi], c[lo:hi] = _solve_chunk(cfg, solver, c_o[lo:hi], plan, beta)
+
+    blocks = zip(bounds[:-1], bounds[1:])
+    if threads == 1:
+        for lo, hi in blocks:
+            solve_block(lo, hi)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for future in [pool.submit(solve_block, lo, hi) for lo, hi in blocks]:
+                future.result()
     return x, c
 
 

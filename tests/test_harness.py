@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import tracemalloc
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +108,81 @@ class TestDeterminism:
         cfg1 = ExperimentConfig().with_overrides(n_symbols=50, iterations=3)
         cfg2 = cfg1.with_overrides(seed=99)
         assert experiments.run_table2(cfg1) != experiments.run_table2(cfg2)
+
+
+class TestBlockedDispatch:
+    # the call each solver makes on its block: (module, attribute)
+    SOLVER_CALL = {
+        "none": (dsp, "ifft_oversampled"),
+        "direct": (experiments, "direct_solve"),
+        "relax": (experiments, "relax_solve"),
+        "rcf": (experiments, "rcf"),
+    }
+
+    @pytest.mark.parametrize("solver", sorted(SOLVER_CALL))
+    def test_blocks_bit_exact_and_bounded(self, solver, monkeypatch):
+        cfg = ExperimentConfig()
+        c_o, plan = _batch(cfg, 300)
+        block_rows = experiments.BLOCK_SAMPLES // (cfg.oversample * cfg.n_carriers)
+        assert block_rows < 300  # so the batch spans several blocks
+        x_ref, c_ref = experiments._solve_chunk(cfg, solver, c_o, plan)
+        rows = []
+        module, name = self.SOLVER_CALL[solver]
+        original = getattr(module, name)
+
+        def recording(c_block, *args, **kwargs):
+            rows.append(c_block.shape[0])
+            return original(c_block, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+        for workers in (1, 2):
+            rows.clear()
+            x, c = experiments.solve_batch(cfg.with_overrides(workers=workers), solver, c_o, plan)
+            assert np.array_equal(x, x_ref) and np.array_equal(c, c_ref), workers
+            assert max(rows) <= block_rows and sum(rows) == 300, (workers, rows)
+            if workers == 1:
+                # no view that pins a larger transform (rcf's c did)
+                assert x.base is None and c.base is None
+
+    def test_working_set_is_per_block(self):
+        cfg = ExperimentConfig().with_overrides(iterations=2)
+        c_o, plan = _batch(cfg, 4096)
+        excess = {}
+        for n_rows in (1024, 4096):
+            tracemalloc.start()
+            try:
+                x, c = experiments.solve_batch(cfg, "relax", c_o[:n_rows], plan)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            excess[n_rows] = peak - x.nbytes - c.nbytes
+        assert excess[4096] <= 1.25 * excess[1024], excess
+
+    def test_threads_capped_at_core_count(self, monkeypatch):
+        seen = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", InlinePool)
+        cores = os.cpu_count()
+        cfg = ExperimentConfig().with_overrides(workers=cores + 3)
+        c_o, plan = _batch(cfg, 2 * cfg.workers)
+        x, _ = experiments.solve_batch(cfg, "none", c_o, plan)
+        assert np.array_equal(x, dsp.ifft_oversampled(c_o, cfg.oversample))
+        assert seen == ([cores] if cores > 1 else [])
 
 
 class TestCli:
