@@ -1,6 +1,9 @@
 """Transmitter back end and channel models: SSPA, multipath, equalizer.
 
-The drivers add receiver noise themselves (``experiments._unit_noise``).
+Every function here works row by row on a symbol batch, given a batch-wide
+saturation amplitude, so ``experiments.run_ber`` applies them to one row
+block at a time.  The drivers add receiver noise themselves
+(``experiments._unit_noise``).
 """
 
 import numpy as np

@@ -53,6 +53,7 @@ def fft_oversampled(x, oversample: int) -> np.ndarray:
 
     Runs the full ``L*N``-point forward DFT of ``x`` and keeps only the
     first ``N`` bins.  ``fft_oversampled(ifft_oversampled(c, L), L) == c``.
+    The result owns its bins, so it does not keep the full transform alive.
     """
     x = _as_complex(x)
     oversample = int(oversample)
@@ -63,7 +64,7 @@ def fft_oversampled(x, oversample: int) -> np.ndarray:
             f"input length {x.shape[-1]} is not a multiple of oversample={oversample}"
         )
     n_carriers = x.shape[-1] // oversample
-    return np.fft.fft(x, axis=-1)[..., :n_carriers]
+    return np.fft.fft(x, axis=-1)[..., :n_carriers].copy()
 
 
 def papr(x) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Reproducible Monte Carlo drivers behind the CLI subcommands.
 
 Every driver is a pure function of an :class:`ExperimentConfig`: the RNG
-stream of symbol ``i`` is derived from ``(seed, i, stage)``, so results are
-byte-identical regardless of chunking or worker count.  Drivers return CSV
-rows (list of tuples, first row the header); :func:`write_csv` renders them
-with fixed formatting.
+stream of symbol ``i`` is derived from ``(seed, i, stage[, key])``, so
+results are byte-identical regardless of chunking or worker count.  Drivers
+return CSV rows (list of tuples, first row the header); :func:`write_csv`
+renders them with fixed formatting.
 """
 
 import os
@@ -34,6 +34,10 @@ from .relax import relax_solve
 
 _BITS_STAGE = 0
 _NOISE_STAGE = 1
+# Noise of the Eb/N0 points whose key round(1000 * ebn0) is negative, keyed
+# by its magnitude: SeedSequence takes no negative key, and a stage of their
+# own keeps their streams apart from those of the other points.
+_NEGATIVE_NOISE_STAGE = 2
 
 # FCPO bounds of the table2 rows
 BETA_GRID = (0.0, 0.15, 0.3)
@@ -53,9 +57,102 @@ BENCH_REPEATS = 5
 BLOCK_SAMPLES = 2**15
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe) on 32-bit words
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(n: int) -> list:
+    """``n`` as little-endian 32-bit words, as ``SeedSequence`` splits it."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def seed_table(seed: int, lo: int, hi: int, *key: int) -> np.ndarray:
+    """PCG64 seeds of the streams ``(seed, i, *key)`` for rows ``lo..hi-1``.
+
+    Row ``i - lo`` of the ``(hi - lo, 4)`` uint64 result equals
+    ``SeedSequence(entropy=seed, spawn_key=(i, *key)).generate_state(4,
+    np.uint64)``.  The hash constant of ``SeedSequence`` steps the same way
+    for every row, so each step of its hash is one uint32 vector operation
+    over all rows (uint32 arithmetic wraps like the C code's).
+    """
+    if not 0 <= lo <= hi <= 2**32:
+        raise ValueError(f"rows {lo}..{hi} outside 0..2**32")
+    n_rows = hi - lo
+    run = _uint32_words(seed)
+    # a spawn key pads the run entropy to the pool size
+    run += [0] * (_POOL_SIZE - len(run))
+    words = [np.full(n_rows, w, dtype=np.uint32) for w in run]
+    words.append(np.arange(lo, hi, dtype=np.uint64).astype(np.uint32))
+    words += [np.full(n_rows, w, dtype=np.uint32) for k in key for w in _uint32_words(k)]
+
+    def hasher(hash_const, mult):
+        # seed_seq_fe's hashmix; the constant steps once per call
+        def hashmix(value):
+            nonlocal hash_const
+            value = value ^ np.uint32(hash_const)
+            hash_const = (hash_const * mult) & _MASK32
+            value *= np.uint32(hash_const)
+            return value ^ (value >> 16)
+
+        return hashmix
+
+    def mix(x, y):
+        out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return out ^ (out >> 16)
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(words[i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state: 8 uint32 words, paired little-endian into 4 uint64
+    out_hash = hasher(_INIT_B, _MULT_B)
+    state = np.empty((n_rows, 8), dtype=np.uint64)
+    for i in range(8):
+        state[:, i] = out_hash(pool[i % _POOL_SIZE])
+    return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """One row of :func:`seed_table`, handed to ``PCG64`` as its seed."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("holds only the 4 uint64 words PCG64 asks for")
+        return self.words
+
+
+def _streams(seed: int, lo: int, hi: int, *key: int):
+    """Generators of the streams ``(seed, i, *key)``, ``i = lo..hi-1``, in order."""
+    for words in seed_table(seed, lo, hi, *key):
+        yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
 def rng_for(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for one (symbol, stage) pair."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    """Independent generator for one (symbol, stage[, key]) stream.
+
+    ``key[0]`` is the symbol.  The stream is that of
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=key))``.
+    """
+    return next(_streams(seed, key[0], key[0] + 1, *key[1:]))
 
 
 def make_plan(cfg: ExperimentConfig) -> dsp.CarrierPlan:
@@ -73,8 +170,8 @@ def _symbols(cfg: ExperimentConfig, n_symbols: int):
 def generate_bits(cfg: ExperimentConfig, n_symbols: int, const, plan) -> np.ndarray:
     per_symbol = plan.n_data * const.bits_per_symbol
     out = np.empty((n_symbols, per_symbol), dtype=np.int8)
-    for i in range(n_symbols):
-        out[i] = rng_for(cfg.seed, i, _BITS_STAGE).integers(0, 2, size=per_symbol)
+    for row, rng in zip(out, _streams(cfg.seed, 0, n_symbols, _BITS_STAGE)):
+        row[:] = rng.integers(0, 2, size=per_symbol)
     return out
 
 
@@ -107,38 +204,46 @@ def _solve_chunk(cfg, solver, c_o, plan, beta=None):
     return x, c
 
 
-def solve_batch(cfg: ExperimentConfig, solver: str, c_o, plan, beta=None):
-    """Dispatch one symbol batch to a solver in fixed row blocks.
+def _run_blocks(cfg: ExperimentConfig, n_rows: int, row_samples: int, task) -> list:
+    """``task(lo, hi)`` on each row block of a batch, results in block order.
 
-    The batch is cut into equal blocks of at most ``BLOCK_SAMPLES`` time
-    samples each, their count a multiple of the thread count, and every block
-    is solved on its own and written in place into preallocated ``x`` and
-    ``c``.  Threads: ``cfg.workers``, but at most one per core and one per
-    row; with one thread the blocks run inline.  Each symbol's solve does
-    not depend on the other symbols in its block, so the result does not
-    depend on ``cfg.workers`` or on where the block boundaries fall.
+    The ``n_rows`` rows of ``row_samples`` time samples each are cut into
+    equal blocks (to within one row) of at most ``BLOCK_SAMPLES`` samples,
+    their count a multiple of the thread count.  Threads: ``cfg.workers``,
+    but at most one per core and one per row; with one thread the blocks run
+    inline.
     """
-    c_o = np.atleast_2d(c_o)
-    n_rows, n_carriers = c_o.shape
     threads = min(cfg.workers, os.cpu_count() or 1, n_rows)
-    block_rows = max(1, BLOCK_SAMPLES // (cfg.oversample * n_carriers))
+    block_rows = max(1, BLOCK_SAMPLES // row_samples)
     n_blocks = -(-n_rows // block_rows)
     n_blocks = -(-n_blocks // threads) * threads
     bounds = [i * n_rows // n_blocks for i in range(n_blocks + 1)]
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    if threads == 1:
+        return [task(lo, hi) for lo, hi in blocks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(task, lo, hi) for lo, hi in blocks]
+        return [future.result() for future in futures]
+
+
+def solve_batch(cfg: ExperimentConfig, solver: str, c_o, plan, beta=None):
+    """Dispatch one symbol batch to a solver in fixed row blocks.
+
+    :func:`_run_blocks` cuts the batch, and every block is solved on its own
+    and written in place into preallocated ``x`` and ``c``.  Each symbol's
+    solve does not depend on the other symbols in its block, so the result
+    does not depend on ``cfg.workers`` or on where the block boundaries fall.
+    ``run_ber``'s link stage runs in the same blocks.
+    """
+    c_o = np.atleast_2d(c_o)
+    n_rows, n_carriers = c_o.shape
     x = np.empty((n_rows, cfg.oversample * n_carriers), dtype=np.complex128)
     c = np.empty((n_rows, n_carriers), dtype=np.complex128)
 
     def solve_block(lo, hi):
         x[lo:hi], c[lo:hi] = _solve_chunk(cfg, solver, c_o[lo:hi], plan, beta)
 
-    blocks = zip(bounds[:-1], bounds[1:])
-    if threads == 1:
-        for lo, hi in blocks:
-            solve_block(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for future in [pool.submit(solve_block, lo, hi) for lo, hi in blocks]:
-                future.result()
+    _run_blocks(cfg, n_rows, x.shape[1], solve_block)
     return x, c
 
 
@@ -240,58 +345,80 @@ def run_ber(cfg: ExperimentConfig, solvers=("none", "direct", "relax", "rcf")):
     ideal cyclic prefix, so the channel is a circular convolution, and the
     known tap response is equalized away (perfect CSI).
 
-    Each solver is solved, amplified and sent through the channel once.  The
-    unit noise of each Eb/N0 point is drawn once, one stream per symbol, and
-    shared by every solver, each scaling it to its own noise variance.  Rows
-    come out solver by solver, each over the Eb/N0 grid.
+    Each solver solves the whole batch once.  Eb and the amplifier's
+    saturation amplitude are means over that batch.  The link stage then
+    runs in the row blocks of :func:`solve_batch`, on its threads: a block
+    amplifies its rows and sends them through the channel once per solver,
+    draws each Eb/N0 point's unit noise once (one stream per symbol) for
+    every solver, each scaling it to its own noise variance, and counts bit
+    errors.  The integer counts of the blocks add up to the same totals for
+    any block layout.  Rows come out solver by solver, each over the Eb/N0
+    grid.
     """
     plan, const, bits, c_o = _symbols(cfg, cfg.n_symbols)
     n_samples = cfg.n_carriers * cfg.oversample
+    multipath = cfg.channel == "multipath"
     profile = MultipathProfile()
     h = profile.impulse_response(cfg.oversample * NATIVE_BANDWIDTH_HZ)
     resp = channel_frequency_response(h, n_samples, cfg.n_carriers)
-    received = []  # (noiseless received batch, Eb) per solver
+    sent = []  # (solved batch, SSPA saturation amplitude or None) per solver
+    scales = []  # per solver, sqrt(var / 2) of each Eb/N0 point
     for solver in solvers:
         x_clean, _ = solve_batch(cfg, solver, c_o, plan)
         c_tx = dsp.fft_oversampled(x_clean, cfg.oversample)
         es_bar = float(np.mean(np.linalg.norm(c_tx, axis=-1) ** 2))
         eb = es_bar / (plan.n_data * const.bits_per_symbol)
+        a_sat = None
         if cfg.pa_enabled:
             a_sat = saturation_amplitude(x_clean, SspaParams().input_backoff_db)
-            x_tx = sspa(x_clean, a_sat=a_sat)
-        else:
-            x_tx = x_clean
-        clean = multipath_apply(x_tx, h) if cfg.channel == "multipath" else x_tx
-        received.append((clean, eb))
-    results = [[] for _ in solvers]
-    for ebn0 in cfg.ebn0_db:
-        unit = _unit_noise(cfg, (cfg.n_symbols, n_samples), int(round(ebn0 * 1000)))
-        for out, (clean, eb) in zip(results, received):
-            var = noise_variance_per_sample(ebn0, eb, n_samples)
-            c_hat = dsp.fft_oversampled(clean + unit * np.sqrt(var / 2.0), cfg.oversample)
-            if cfg.channel == "multipath":
-                c_hat = equalize_zero_forcing(c_hat, resp)
-            acc = metrics.MetricAccumulator()
-            acc.add_bits(bits, dsp.demap_bits(c_hat, const, plan))
-            out.append((float(ebn0), acc.ber_value, acc.bits_total))
+        sent.append((x_clean, a_sat))
+        scales.append(
+            [np.sqrt(noise_variance_per_sample(e, eb, n_samples) / 2.0) for e in cfg.ebn0_db]
+        )
+
+    def link_block(lo, hi):
+        received = []
+        for x_clean, a_sat in sent:
+            x_tx = x_clean[lo:hi] if a_sat is None else sspa(x_clean[lo:hi], a_sat=a_sat)
+            received.append(multipath_apply(x_tx, h) if multipath else x_tx)
+        errors = np.zeros((len(solvers), len(cfg.ebn0_db)), dtype=np.int64)
+        for j, ebn0 in enumerate(cfg.ebn0_db):
+            unit = _unit_noise(cfg, (hi - lo, n_samples), int(round(ebn0 * 1000)), lo)
+            for k, clean in enumerate(received):
+                c_hat = dsp.fft_oversampled(clean + unit * scales[k][j], cfg.oversample)
+                if multipath:
+                    c_hat = equalize_zero_forcing(c_hat, resp)
+                acc = metrics.MetricAccumulator()
+                acc.add_bits(bits[lo:hi], dsp.demap_bits(c_hat, const, plan))
+                errors[k, j] = acc.bit_errors
+        return errors
+
+    errors = sum(_run_blocks(cfg, cfg.n_symbols, n_samples, link_block))
     rows = [("solver", "channel", "ebn0_db", "ber", "bits")]
-    for solver, out in zip(solvers, results):
-        rows.extend((solver, cfg.channel, *point) for point in out)
+    for solver, counts in zip(solvers, errors):
+        for ebn0, n_err in zip(cfg.ebn0_db, counts):
+            rows.append((solver, cfg.channel, float(ebn0), int(n_err) / bits.size, bits.size))
     return rows
 
 
-def _unit_noise(cfg, shape, ebn0_key) -> np.ndarray:
+def _unit_noise(cfg, shape, ebn0_key, first_row=0) -> np.ndarray:
     """Complex noise with standard normal rails, one stream per symbol index.
 
-    Row ``i`` takes ``2 * shape[1]`` standard normals from its stream: the
-    first half is the real part, the second the imaginary part.  Scaled by
-    ``sqrt(var / 2)`` it is noise of per-sample variance ``var``.
+    Row ``r`` is symbol ``first_row + r`` and takes ``2 * shape[1]``
+    standard normals from its stream: the first half is the real part, the
+    second the imaginary part.  Scaled by ``sqrt(var / 2)`` it is noise of
+    per-sample variance ``var``.  ``ebn0_key`` is ``round(1000 * ebn0_db)``;
+    a negative key draws from a stage of its own.
     """
-    out = np.empty(shape, dtype=np.complex128)
-    for i in range(shape[0]):
-        block = rng_for(cfg.seed, i, _NOISE_STAGE, ebn0_key).standard_normal((2, shape[1]))
-        out[i] = block[0] + 1j * block[1]
-    return out
+    if ebn0_key >= 0:
+        stage = (_NOISE_STAGE, ebn0_key)
+    else:
+        stage = (_NEGATIVE_NOISE_STAGE, -ebn0_key)
+    n_rows, n_samples = shape
+    rails = np.empty((n_rows, 2, n_samples))
+    for out, rng in zip(rails, _streams(cfg.seed, first_row, first_row + n_rows, *stage)):
+        rng.standard_normal(out=out)
+    return rails[:, 0] + 1j * rails[:, 1]
 
 
 def run_psd(cfg: ExperimentConfig, solvers=("none", "direct", "relax", "rcf")):

@@ -193,8 +193,8 @@ def relax_solve(
             x = x_update(x_raw, params.alpha).x
         # Starting with u = w keeps y1 = rho_tilde*(u - w) = 0 true at the very
         # first state, so the sufficient-descent margin provably covers every
-        # sweep, the first one included.
-        ac = dsp.ifft_oversampled(c, oversample)
+        # sweep, the first one included.  From c = c_o, A c is x_raw itself.
+        ac = dsp.ifft_oversampled(c, oversample) if feasible_start else x_raw
         u = 0.5 * (ac + x)
         y = np.zeros_like(u)
         lagr = relax_lagrangian(c, ac, x, u, u, y, y, c_o, plan, rho, rho_tilde)

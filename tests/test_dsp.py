@@ -31,6 +31,13 @@ def test_ifft_matches_dense_oracle(n, oversample):
     assert np.abs(ifft_oversampled(c, oversample) - c @ a.T).max() < 1e-12
 
 
+def test_fft_result_owns_its_bins():
+    # a view of the first N bins would keep the whole L*N transform alive
+    c = np.ones((3, 8), dtype=complex)
+    out = fft_oversampled(ifft_oversampled(c, 4), 4)
+    assert out.shape == (3, 8) and out.flags.owndata
+
+
 @pytest.mark.parametrize("n,oversample", [(4, 2), (8, 2), (8, 4)])
 def test_fft_matches_dense_oracle(n, oversample):
     rng = np.random.default_rng(n * 17 + oversample)

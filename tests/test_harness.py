@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from papradmm.cli import main
 from papradmm.config import ConfigError, ExperimentConfig
@@ -108,6 +110,29 @@ class TestDeterminism:
         cfg1 = ExperimentConfig().with_overrides(n_symbols=50, iterations=3)
         cfg2 = cfg1.with_overrides(seed=99)
         assert experiments.run_table2(cfg1) != experiments.run_table2(cfg2)
+
+
+class TestSeedTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70 - 1),
+        n_rows=st.integers(0, 12),
+        lo=st.integers(0, 2**32 - 12),
+        key=st.lists(st.integers(0, 2**32 - 1), max_size=3),
+    )
+    def test_rows_are_numpys_seed_sequence(self, seed, n_rows, lo, key):
+        table = experiments.seed_table(seed, lo, lo + n_rows, *key)
+        assert table.shape == (n_rows, 4) and table.dtype == np.uint64
+        streams = experiments._streams(seed, lo, lo + n_rows, *key)
+        for i, words, rng in zip(range(lo, lo + n_rows), table, streams):
+            seq = np.random.SeedSequence(entropy=seed, spawn_key=(i, *key))
+            assert np.array_equal(words, seq.generate_state(4, np.uint64)), i
+            want = np.random.default_rng(seq)
+            assert np.array_equal(rng.integers(0, 2, size=64), want.integers(0, 2, size=64))
+            assert np.array_equal(rng.standard_normal((2, 8)), want.standard_normal((2, 8)))
+            one = experiments.rng_for(seed, i, *key)
+            again = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, *key)))
+            assert np.array_equal(one.standard_normal(8), again.standard_normal(8))
 
 
 class TestBlockedDispatch:
@@ -233,6 +258,22 @@ class TestCli:
         assert code == 2
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "table2.csv").exists()
+
+    def test_negative_ebn0_point_has_its_own_stream(self, tmp_path):
+        # round(1000 * ebn0) < 0 was passed to SeedSequence as a spawn key
+        rows = {}
+        for name, grid in (("with", "-2 0 2"), ("without", "0 2")):
+            cfg_file = tmp_path / f"{name}.cfg"
+            cfg_file.write_text(f"ebn0_db = {grid}\n")
+            out = tmp_path / name
+            code = main(["ber", "--config", str(cfg_file), "--symbols", "8", "--out", str(out)])
+            assert code == 0
+            rows[name] = (out / "ber.csv").read_text().splitlines()
+        assert [r for r in rows["with"] if r.split(",")[2] != "-2"] == rows["without"]
+        assert len(rows["with"]) == 1 + 4 * 3
+        cfg = ExperimentConfig(seed=3)
+        minus, plus = (experiments._unit_noise(cfg, (2, 16), k) for k in (-2000, 2000))
+        assert not np.any(minus == plus)
 
     def test_empty_ebn0_grid_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -392,31 +433,73 @@ BER_ERRORS_SEED_7 = {
 }
 
 
+# The same at 300 symbols and the default seed (62400 bits per point): three
+# link-stage blocks of at most 128 rows, four with two threads.  Computed
+# when the whole batch went through the link stage at once.
+BER_ERRORS_300 = {
+    "awgn": {
+        "none": (7342, 4864, 2882, 1411, 576, 176),
+        "direct": (7337, 4845, 2791, 1368, 546, 168),
+        "relax": (7225, 4908, 2995, 1579, 750, 324),
+        "rcf": (8302, 6343, 4817, 3579, 2684, 2137),
+    },
+    "multipath": {
+        "none": (7381, 4967, 2971, 1554, 700, 244),
+        "direct": (7374, 4925, 2911, 1460, 657, 211),
+        "relax": (7339, 4944, 3123, 1682, 849, 372),
+        "rcf": (8382, 6419, 4858, 3683, 2723, 2164),
+    },
+}
+
+
+def assert_ber_rows(cfg, errors, bits):
+    want = [("solver", "channel", "ebn0_db", "ber", "bits")]
+    for solver, counts in errors.items():
+        for ebn0, n_err in zip(cfg.ebn0_db, counts):
+            want.append((solver, cfg.channel, ebn0, n_err / bits, bits))
+    for workers in (1, 2):
+        assert experiments.run_ber(cfg.with_overrides(workers=workers)) == want, workers
+
+
 class TestBerLinkStage:
     @pytest.mark.parametrize("channel", ["awgn", "multipath"])
     def test_rows_pinned_and_independent_of_workers(self, channel):
         cfg = ExperimentConfig().with_overrides(n_symbols=64, seed=7, channel=channel)
-        want = [("solver", "channel", "ebn0_db", "ber", "bits")]
-        for solver, errors in BER_ERRORS_SEED_7[channel].items():
-            for ebn0, n_err in zip(cfg.ebn0_db, errors):
-                want.append((solver, channel, ebn0, n_err / 13312, 13312))
-        one = experiments.run_ber(cfg.with_overrides(workers=1))
-        two = experiments.run_ber(cfg.with_overrides(workers=2))
-        assert one == want
-        assert two == want
+        assert_ber_rows(cfg, BER_ERRORS_SEED_7[channel], 13312)
+
+    @pytest.mark.parametrize("channel", ["awgn", "multipath"])
+    def test_blocked_rows_pinned_and_independent_of_workers(self, channel):
+        cfg = ExperimentConfig().with_overrides(n_symbols=300, channel=channel)
+        assert 2 * experiments.BLOCK_SAMPLES < 300 * cfg.oversample * cfg.n_carriers
+        assert_ber_rows(cfg, BER_ERRORS_300[channel], 62400)
 
     def test_noise_drawn_once_per_symbol_and_channel_once_per_solver(self, monkeypatch):
-        calls = {"rng_for": 0, "multipath_apply": 0}
-        for name in calls:
-            count_calls(monkeypatch, experiments, name, calls)
+        streams, channel_rows = [], []
+        seed_table, multipath_apply = experiments.seed_table, experiments.multipath_apply
+
+        def recording_table(seed, lo, hi, *key):
+            streams.extend((i, *key) for i in range(lo, hi))
+            return seed_table(seed, lo, hi, *key)
+
+        def recording_channel(x, h):
+            channel_rows.append(len(x))
+            return multipath_apply(x, h)
+
+        monkeypatch.setattr(experiments, "seed_table", recording_table)
+        monkeypatch.setattr(experiments, "multipath_apply", recording_channel)
         cfg = ExperimentConfig().with_overrides(
-            n_symbols=6, iterations=2, ebn0_db="4,8,12", channel="multipath"
+            n_symbols=300, iterations=2, ebn0_db="4,8,12", channel="multipath"
         )
+        block_rows = experiments.BLOCK_SAMPLES // (cfg.oversample * cfg.n_carriers)
         solvers = ("none", "direct", "relax", "rcf")
         experiments.run_ber(cfg, solvers=solvers)
-        # one bit stream per symbol, then one noise stream per (symbol, Eb/N0)
-        assert calls["rng_for"] == cfg.n_symbols * (1 + len(cfg.ebn0_db))
-        assert calls["multipath_apply"] == len(solvers)
+        # one bit stream per symbol, then one noise stream per (symbol, Eb/N0),
+        # each seeded exactly once
+        assert len(streams) == len(set(streams)) == cfg.n_symbols * (1 + len(cfg.ebn0_db))
+        # one worker: each block sends every solver's rows through in solver order
+        assert len(channel_rows) > len(solvers) and max(channel_rows) <= block_rows
+        for k in range(len(solvers)):
+            assert sum(channel_rows[k :: len(solvers)]) == cfg.n_symbols, solvers[k]
 
 
 def test_drivers_skip_per_sweep_lagrangians(monkeypatch):

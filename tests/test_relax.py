@@ -75,6 +75,23 @@ class TestRelaxRun:
         rng = np.random.default_rng(21)
         self.c_o = random_symbols(rng, 40)
 
+    def test_start_reuses_the_raw_signal(self, monkeypatch):
+        # with c1 = c_o the start's A c1 is the x_raw the sweep loop made
+        from papradmm import dsp
+
+        calls = []
+        original = dsp.ifft_oversampled
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dsp, "ifft_oversampled", counting)
+        params = stock_params(max_iters=3, eps=0.0)
+        _, _, rep = relax_solve(self.c_o, PLAN, params, 4)
+        assert not rep.bypassed.any()
+        assert len(calls) == 1 + rep.iterations == 4
+
     def test_descent_margin_every_sweep(self):
         params = stock_params(max_iters=50, eps=0.0)
         _, _, rep = relax_solve(self.c_o, PLAN, params, 4, certify=True)
