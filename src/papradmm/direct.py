@@ -87,25 +87,29 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
 
     def start(c_o, x_raw):
         return {
-            "c": c_o,
+            "c": c_o.copy(),
             "x": x_update(x_raw, params.alpha).x,
             "y": np.zeros_like(x_raw),
             "mu": np.zeros(c_o.shape[0]),
         }
 
     def step(c_o, s, where_active):
-        x, y = s["x"], s["y"]
-        y_scaled = y * inv_rho
-        v = c_o + r * dsp.fft_oversampled(x - y_scaled, oversample)
+        c, x, y = s["c"], s["x"], s["y"]
+        y_scaled = np.multiply(y, inv_rho)
+        b = np.subtract(x, y_scaled)
+        v = c_o + r * dsp.fft_oversampled(b, oversample)
         cres = c_update(v, plan, params.beta, r)
-        c_new = where_active(cres.c, s["c"])
+        c_new = where_active(cres.c, c)
         ac = dsp.ifft_oversampled(c_new, oversample)
-        xres = x_update(ac + y_scaled, params.alpha)
-        x_new = where_active(xres.x, x)
-        y_new = where_active(y + rho * (ac - x_new), y)
-        change = row_norm(c_new - s["c"]) ** 2 + row_norm(x_new - x) ** 2
-        mu = where_active(cres.mu, s["mu"])
-        return {"c": c_new, "x": x_new, "y": y_new, "mu": mu}, change, {}
+        x_new = where_active(x_update(np.add(ac, y_scaled, out=b), params.alpha).x, x)
+        # the dual step y + rho*(ac - x') is built in ac, and the x step in
+        # the old x, which no longer belongs to the state
+        np.subtract(ac, x_new, out=ac)
+        np.multiply(rho, ac, out=ac)
+        y_new = where_active(np.add(y, ac, out=ac), y)
+        change = row_norm(c_new - c) ** 2 + row_norm(np.subtract(x_new, x, out=x)) ** 2
+        s.update(c=c_new, x=x_new, y=y_new, mu=where_active(cres.mu, s["mu"]))
+        return change, {}
 
     sweeps = run_sweeps(c_o, plan, params, oversample, start, step)
     return sweeps.result(

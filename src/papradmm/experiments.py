@@ -49,10 +49,13 @@ BENCH_SIZES = (64, 256, 1024)
 BENCH_BATCH = 64
 BENCH_REPEATS = 5
 # Time samples per solve_batch block (128 symbols at 64 carriers and L=4, or
-# 512 KB per complex array).  A sweep makes about thirty temporaries the size
-# of its input.  Batch-sized ones (4 MB each at 1000 symbols) go back to the
-# OS when freed and are faulted in again on the next sweep; block-sized ones
-# mostly stay in the allocator's free lists, and the working set is per
+# 512 KB per complex array).  Both engines update their state in place, so
+# one block's working set peaks at about 6.3 MB for the relaxed engine and
+# 4.7 MB for the direct one (tracemalloc, 5 sweeps; tests/test_sweep.py pins
+# 7.0 and 5.11 MB).  That is below glibc's heap-trim threshold, twice the
+# largest freed mmapped chunk (~8 MB once a 4 MB batch output is freed), so
+# block-sized arrays are reused from the allocator's free lists rather than
+# handed back to the OS and faulted in again, and the working set is per
 # block, not per batch.
 BLOCK_SAMPLES = 2**15
 

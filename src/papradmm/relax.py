@@ -187,42 +187,61 @@ def relax_solve(
     def start(c_o, x_raw):
         feas = None
         if feasible_start:
-            c, x, feas = feasible_start_state(c_o, plan, params, oversample)
+            c, ac, feas = feasible_start_state(c_o, plan, params, oversample)
+            x = ac.copy()
         else:
-            c = c_o
+            # From c = c_o, A c is x_raw itself; the sweeps never write into ac.
+            c, ac = c_o.copy(), x_raw
             x = x_update(x_raw, params.alpha).x
         # Starting with u = w keeps y1 = rho_tilde*(u - w) = 0 true at the very
         # first state, so the sufficient-descent margin provably covers every
-        # sweep, the first one included.  From c = c_o, A c is x_raw itself.
-        ac = dsp.ifft_oversampled(c, oversample) if feasible_start else x_raw
-        u = 0.5 * (ac + x)
-        y = np.zeros_like(u)
-        lagr = relax_lagrangian(c, ac, x, u, u, y, y, c_o, plan, rho, rho_tilde)
+        # sweep, the first one included.
+        u = np.add(ac, x)
+        np.multiply(0.5, u, out=u)
+        sd_dist = row_norm((c - c_o)[..., plan.data_idx]) ** 2
+        # relax_lagrangian's multiplier and tie terms are exact zeros here
+        # (y1 = y2 = 0, u = w), and adding a zero to the nonnegative distance
+        # term leaves it unchanged, so dropping them keeps every bit.
+        lagr = 0.5 * sd_dist + 0.5 * rho * (
+            row_norm(ac - u) ** 2 + row_norm(x - u) ** 2
+        )
         return {
-            "c": c, "ac": ac, "x": x, "u": u, "w": u, "y1": y, "y2": y,
+            "c": c, "ac": ac, "x": x, "u": u, "w": u.copy(),
+            "y1": np.zeros_like(u), "y2": np.zeros_like(u),
             "lagr": lagr,
             "lagr_initial": lagr,
-            "sd_dist_initial": row_norm((c - c_o)[..., plan.data_idx]) ** 2,
+            "sd_dist_initial": sd_dist,
             "feasible_start": feas,
         }
 
     def step(c_o, s, where_active):
         u, w, y1, y2 = s["u"], s["w"], s["y1"], s["y2"]
-        v = c_o + r * dsp.fft_oversampled(u - y1 * inv_rho, oversample)
+        b = np.multiply(y1, inv_rho)
+        v = c_o + r * dsp.fft_oversampled(np.subtract(u, b, out=b), oversample)
         cres = c_update(v, plan, params.beta, r)
         c = where_active(cres.c, s["c"])
         ac = dsp.ifft_oversampled(c, oversample)
-        xres = x_update(w - y2 * inv_rho, params.alpha)
-        x = where_active(xres.x, s["x"])
-        u_cand, w_cand = uw_update(x, ac, y1, y2, rho, rho_tilde)
-        u_new = where_active(u_cand, u)
-        w_new = where_active(w_cand, w)
-        y1_new = where_active(y1 + rho * (ac - u_new), y1)
-        y2_new = where_active(y2 + rho * (x - w_new), y2)
+        np.multiply(y2, inv_rho, out=b)
+        x = where_active(x_update(np.subtract(w, b, out=b), params.alpha).x, s["x"])
+        # free b and the old ac and x before uw_update's four arrays, the
+        # peak of the sweep's working set
+        del b
+        s.update(c=c, ac=ac, x=x)
+        u_new, w_new = uw_update(x, ac, y1, y2, rho, rho_tilde)
+        u_new = where_active(u_new, u)
+        w_new = where_active(w_new, w)
+        # The old u and w leave the state here: each takes its step and then
+        # its multiplier's dual step y + rho*(gap).
+        du_sq = row_norm(np.subtract(u_new, u, out=u)) ** 2
+        dw_sq = row_norm(np.subtract(w_new, w, out=w)) ** 2
+        np.subtract(ac, u_new, out=u)
+        np.multiply(rho, u, out=u)
+        y1_new = where_active(np.add(y1, u, out=u), y1)
+        np.subtract(x, w_new, out=w)
+        np.multiply(rho, w, out=w)
+        y2_new = where_active(np.add(y2, w, out=w), y2)
+        s.update(u=u_new, w=w_new, y1=y1_new, y2=y2_new)
 
-        du_sq = row_norm(u_new - u) ** 2
-        dw_sq = row_norm(w_new - w) ** 2
-        new = dict(s, c=c, ac=ac, x=x, u=u_new, w=w_new, y1=y1_new, y2=y2_new)
         trace = {}
         if certify:
             lagr = relax_lagrangian(
@@ -231,8 +250,8 @@ def relax_solve(
             lhs, rhs, _ = descent_check(s["lagr"], lagr, du_sq, dw_sq, rho, rho_tilde)
             ident = multiplier_identity_residual(u_new, w_new, y1_new, y2_new, rho_tilde)
             trace.update(lagr=lagr, lhs=lhs, rhs=rhs, ident=ident)
-            new["lagr"] = lagr
-        return new, du_sq + dw_sq, trace
+            s["lagr"] = lagr
+        return du_sq + dw_sq, trace
 
     sweeps = run_sweeps(c_o, plan, params, oversample, start, step)
     s = sweeps.state
@@ -241,7 +260,8 @@ def relax_solve(
         return sweeps.trace(name) if certify else None
 
     # A bypassed row transmits x_raw = A c_o, so its coupling gap is zero.
-    ac_final = np.where(sweeps.bypassed[:, None], sweeps.x, s["ac"])
+    consensus_gap = row_norm(s["ac"] - sweeps.x) ** 2
+    consensus_gap[sweeps.bypassed] = 0.0
     return sweeps.result(
         RelaxReport(
             iterations=sweeps.iterations,
@@ -255,7 +275,7 @@ def relax_solve(
             descent_lhs=certificate("lhs"),
             descent_rhs=certificate("rhs"),
             identity_residual=certificate("ident"),
-            consensus_gap=row_norm(ac_final - sweeps.x) ** 2,
+            consensus_gap=consensus_gap,
             sd_dist_initial=s["sd_dist_initial"],
             sd_dist_final=row_norm((sweeps.c - sweeps.c_o)[..., plan.data_idx]) ** 2,
             uw_gap_final=row_norm(s["u"] - s["w"]) ** 2,

@@ -45,6 +45,18 @@ class XUpdateResult:
     degenerate: np.ndarray
 
 
+def _running_norm(g):
+    """Row norms of a gathered array, summed over its columns in order.
+
+    numpy reduces a gathered batch of two or more rows in exactly this order,
+    but a single row pairwise; the explicit running sum keeps a symbol's
+    norms, and so its whole solve, the same in a batch of any size.
+    """
+    sq = np.conjugate(g)
+    np.multiply(sq, g, out=sq)
+    return np.sqrt(np.cumsum(sq.real, axis=-1)[..., -1])
+
+
 def c_update(v, plan: CarrierPlan, beta: float, r: float) -> CUpdateResult:
     """Minimize ``0.5*||c_D - v_D||^2-style`` carrier objective under the FCPO bound.
 
@@ -63,14 +75,18 @@ def c_update(v, plan: CarrierPlan, beta: float, r: float) -> CUpdateResult:
         raise ValueError(f"beta must be >= 0, got {beta}")
     if r <= 0:
         raise ValueError(f"r must be > 0, got {r}")
-    d_norm = np.linalg.norm(v[..., plan.data_idx], axis=-1)
-    f_norm = np.linalg.norm(v[..., plan.free_idx], axis=-1)
+    # one gather per carrier set; each is divided in place into c below
+    v_data = v[..., plan.data_idx]
+    v_free = v[..., plan.free_idx]
+    d_norm = _running_norm(v_data)
+    f_norm = _running_norm(v_free)
     if np.any((d_norm == 0.0) & (f_norm == 0.0)):
         raise DegenerateSymbolError("c_update input is identically zero")
 
-    c = np.zeros_like(v)
+    c = np.empty_like(v)
     if beta == 0.0:
-        c[..., plan.data_idx] = v[..., plan.data_idx] / (1.0 + r)
+        c[..., plan.data_idx] = np.divide(v_data, 1.0 + r, out=v_data)
+        c[..., plan.free_idx] = 0.0
         mu = np.full(v.shape[:-1], np.inf)
         return CUpdateResult(c=c, mu=mu)
 
@@ -83,19 +99,22 @@ def c_update(v, plan: CarrierPlan, beta: float, r: float) -> CUpdateResult:
     numer = (1.0 + r) * f_norm - sb * r * d_norm
     denom = 2.0 * (beta * f_norm + sb * d_norm)
     mu = np.maximum(0.0, numer / denom)
-    c[..., plan.data_idx] = v[..., plan.data_idx] / (1.0 + r - 2.0 * mu * beta)[..., None]
-    c[..., plan.free_idx] = v[..., plan.free_idx] / (r + 2.0 * mu)[..., None]
+    c[..., plan.data_idx] = np.divide(
+        v_data, (1.0 + r - 2.0 * mu * beta)[..., None], out=v_data
+    )
+    c[..., plan.free_idx] = np.divide(v_free, (r + 2.0 * mu)[..., None], out=v_free)
     return CUpdateResult(c=c, mu=mu)
 
 
-def _clip_scale(mag, n_nonzero, alpha: float):
+def _clip_scale(mag, mag_sq, n_nonzero, alpha: float):
     """``(scale, two_gamma, saturated)`` of the clip rule on a 2-D batch.
 
     ``z = scale*b`` per sample and ``two_gamma = 2*gamma`` per row, from the
-    magnitudes of ``b``.  Rows with no nonzero entry get ``2*gamma = inf`` and
-    a zero scale.  ``saturated`` indexes the rows whose clip-rule energy stays
-    below 1; their scale is finite but not their direction, so the callers
-    replace those rows with :func:`_saturated_direction`.
+    magnitudes of ``b`` and their squares.  The scale is written over ``mag``.
+    Rows with no nonzero entry get ``2*gamma = inf`` and a zero scale.
+    ``saturated`` indexes the rows whose clip-rule energy stays below 1; their
+    scale is finite but not their direction, so the callers replace those rows
+    with :func:`_saturated_direction`.
     """
     n = mag.shape[-1]
     cap_sq = alpha / n
@@ -105,9 +124,12 @@ def _clip_scale(mag, n_nonzero, alpha: float):
     # those columns alone; on rows with fewer nonzero entries, the columns
     # k >= n_nonzero are masked to inf.
     k_max = np.count_nonzero(room > 0.0)
-    # tail[:, k] = S_k, summed from the smallest magnitude up
-    tail = np.cumsum(np.sort(mag, axis=-1) ** 2, axis=-1)[:, ::-1][:, :k_max]
-    two_gamma_sq = tail / room[:k_max]
+    # tail[:, k] = S_k, summed from the smallest magnitude up; squaring is
+    # monotone, so sorting the squares sorts the magnitudes
+    tail = np.sort(mag_sq, axis=-1)
+    np.cumsum(tail, axis=-1, out=tail)
+    tail = tail[:, ::-1][:, :k_max]
+    two_gamma_sq = np.divide(tail, room[:k_max], out=tail)
     short = np.flatnonzero(n_nonzero < k_max)
     if short.size:
         admissible = k[:k_max] < n_nonzero[short, None]
@@ -115,11 +137,13 @@ def _clip_scale(mag, n_nonzero, alpha: float):
     two_gamma = np.sqrt(two_gamma_sq.min(axis=-1))
     saturated = (n_nonzero * cap_sq < 1.0 - 1e-14) & (n_nonzero > 0)
     # the clip rule min(|b|/(2*gamma), cap) * phase(b); zeros stay zero
-    scale = 1.0 / np.maximum(two_gamma[:, None], mag / np.sqrt(cap_sq))
+    scale = np.divide(mag, np.sqrt(cap_sq), out=mag)
+    np.maximum(two_gamma[:, None], scale, out=scale)
+    np.divide(1.0, scale, out=scale)
     return scale, two_gamma, np.flatnonzero(saturated)
 
 
-def _saturated_direction(b, mag, n_nonzero, alpha: float):
+def _saturated_direction(b, n_nonzero, alpha: float):
     """Direction on rows whose clip-rule energy saturates below 1 (``gamma = 0``).
 
     The slack is filled uniformly over the zero entries (``alpha >= 1``
@@ -127,6 +151,7 @@ def _saturated_direction(b, mag, n_nonzero, alpha: float):
     """
     n = b.shape[-1]
     cap_sq = alpha / n
+    mag = np.abs(b)
     nz = mag > 0.0
     fill = np.sqrt((1.0 - n_nonzero * cap_sq) / (n - n_nonzero))
     phase = b / np.where(nz, mag, 1.0)
@@ -170,11 +195,11 @@ def z_projection(b, alpha: float):
     flat, mag, n_nonzero = _magnitudes(b, alpha)
     if np.any(n_nonzero == 0):
         raise DegenerateSymbolError("z_projection input is identically zero")
-    scale, two_gamma, sat = _clip_scale(mag, n_nonzero, alpha)
+    scale, two_gamma, sat = _clip_scale(mag, mag * mag, n_nonzero, alpha)
     z = flat * scale
     gamma = 0.5 * two_gamma
     if sat.size:
-        z[sat] = _saturated_direction(flat[sat], mag[sat], n_nonzero[sat], alpha)
+        z[sat] = _saturated_direction(flat[sat], n_nonzero[sat], alpha)
         gamma[sat] = 0.0
     return z.reshape(b.shape), gamma.reshape(b.shape[:-1])
 
@@ -189,11 +214,12 @@ def x_update(b, alpha: float) -> XUpdateResult:
     """
     b = _as_complex(b)
     flat, mag, n_nonzero = _magnitudes(b, alpha)
-    scale, _, sat = _clip_scale(mag, n_nonzero, alpha)
-    t = np.sum(mag * mag * scale, axis=-1)
-    x = flat * (t[:, None] * scale)
+    mag_sq = mag * mag
+    scale, _, sat = _clip_scale(mag, mag_sq, n_nonzero, alpha)
+    t = np.sum(np.multiply(mag_sq, scale, out=mag_sq), axis=-1)
+    x = flat * np.multiply(t[:, None], scale, out=scale)
     if sat.size:
-        z = _saturated_direction(flat[sat], mag[sat], n_nonzero[sat], alpha)
+        z = _saturated_direction(flat[sat], n_nonzero[sat], alpha)
         t[sat] = np.maximum(0.0, np.real(np.sum(np.conj(z) * flat[sat], axis=-1)))
         x[sat] = t[sat, None] * z
     shape = b.shape[:-1]
@@ -225,11 +251,23 @@ def uw_update(x, ac, y1, y2, rho: float, rho_tilde: float):
     ac = _as_complex(ac)
     y1 = _as_complex(y1)
     y2 = _as_complex(y2)
-    rhs_u = y1 + rho * ac
-    rhs_w = y2 + rho * x
-    # multiplying by 1/det has the values of dividing by det, without a
-    # complex division
+    # Each line below is one operation of
+    #   u = ((rho_tilde + rho)*rhs_u + rho_tilde*rhs_w) * inv_det
+    #   w = (rho_tilde*rhs_u + (rho_tilde + rho)*rhs_w) * inv_det
+    # in the same order, written into four arrays instead of twelve.
+    # Multiplying by 1/det has the values of dividing by det, without a
+    # complex division.
     inv_det = 1.0 / (rho * (rho + 2.0 * rho_tilde))
-    u = ((rho_tilde + rho) * rhs_u + rho_tilde * rhs_w) * inv_det
-    w = (rho_tilde * rhs_u + (rho_tilde + rho) * rhs_w) * inv_det
+    rhs_u = np.multiply(rho, ac)
+    np.add(y1, rhs_u, out=rhs_u)
+    rhs_w = np.multiply(rho, x)
+    np.add(y2, rhs_w, out=rhs_w)
+    u = np.multiply(rho_tilde + rho, rhs_u)
+    w = np.multiply(rho_tilde, rhs_w)
+    np.add(u, w, out=u)
+    np.multiply(u, inv_det, out=u)
+    np.multiply(rho_tilde, rhs_u, out=w)
+    np.multiply(rho_tilde + rho, rhs_w, out=rhs_w)
+    np.add(w, rhs_w, out=w)
+    np.multiply(w, inv_det, out=w)
     return u, w

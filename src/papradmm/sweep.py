@@ -15,7 +15,10 @@ from . import dsp
 
 
 def row_norm(a: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(a, axis=-1)
+    """``np.linalg.norm(a, axis=-1)`` to the bit, with one temporary, not two."""
+    sq = np.conjugate(a)
+    np.multiply(sq, a, out=sq)
+    return np.sqrt(np.add.reduce(sq.real, axis=-1))
 
 
 @dataclass
@@ -57,14 +60,21 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step)
 
     ``start(c_o, x_raw)`` returns the initial state: a dict of per-symbol
     arrays (leading axis = symbol) that holds at least ``"c"`` and ``"x"``.
-    ``step(c_o, state, where_active)`` returns ``(state, residual, trace)``:
-    the next state, the squared step that the stop at ``params.eps``
+    Every state array that is written in place, ``"c"`` and ``"x"`` by this
+    loop and any buffer the step reuses, must be the engine's own: it may not
+    share memory with ``c_o``, ``x_raw`` or another state array.
+    ``step(c_o, state, where_active)`` updates ``state`` in place and returns
+    ``(residual, trace)``: the squared step that the stop at ``params.eps``
     compares, and a dict of per-symbol values to record for this sweep (empty
     to record nothing).
-    ``where_active(new, old)`` takes ``new`` on symbols still running and
-    ``old`` on stopped ones; the step applies it to every state array it
-    updates, so a stopped symbol keeps its state and traces its last values
-    with a zero step.  While every symbol is running it returns ``new`` itself.
+    ``where_active(new, old)`` writes ``old`` into ``new`` in place on the
+    symbols that have stopped (``np.copyto(new, old, where=stopped)``) and
+    returns ``new``, so ``new`` must be an array the step owns, such as a
+    kernel's fresh result or a state buffer it no longer needs.  The step
+    applies it to every state array it updates, so a stopped symbol keeps its
+    state and traces its last values with a zero step.  While every symbol is
+    running it writes nothing.  On return ``x`` and ``c`` are the state's own
+    arrays, with the raw signal and ``c_o`` written into their bypassed rows.
     """
     c_o = dsp._as_complex(c_o)
     single = c_o.ndim == 1
@@ -81,26 +91,27 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step)
     residuals, rows = [], []
 
     def where_active(new, old):
-        if all_active:
-            return new
-        mask = active[:, None] if np.ndim(new) == 2 else active
-        return np.where(mask, new, old)
+        if stopped is not None:
+            np.copyto(new, old, where=stopped[:, None] if new.ndim == 2 else stopped)
+        return new
 
     for _ in range(params.max_iters):
         if np.all(done):
             break
-        active = ~done
-        all_active = np.all(active)
-        state, residual, row = step(c_o, state, where_active)
+        stopped = done if np.any(done) else None
+        residual, row = step(c_o, state, where_active)
         residuals.append(residual)
         if row:
             rows.append(row)
-        done = done | (active & (residual < params.eps))
+        done = done | (residual < params.eps)
 
+    if bypassed.any():
+        np.copyto(state["x"], x_raw, where=bypassed[:, None])
+        np.copyto(state["c"], c_o, where=bypassed[:, None])
     return Sweeps(
         c_o=c_o,
-        x=np.where(bypassed[:, None], x_raw, state["x"]),
-        c=np.where(bypassed[:, None], c_o, state["c"]),
+        x=state["x"],
+        c=state["c"],
         state=state,
         bypassed=bypassed,
         converged=done,

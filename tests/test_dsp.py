@@ -31,6 +31,19 @@ def test_ifft_matches_dense_oracle(n, oversample):
     assert np.abs(ifft_oversampled(c, oversample) - c @ a.T).max() < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(16,), (5, 16), (3, 4, 16)])
+@pytest.mark.parametrize("oversample", [1, 2, 4])
+def test_ifft_is_numpys_padded_ifft_to_the_bit(shape, oversample):
+    rng = np.random.default_rng(len(shape) * 10 + oversample)
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    c[..., 0] = -0.0  # signed zeros must come through too
+    x = ifft_oversampled(c, oversample)
+    expected = np.fft.ifft(c, n=oversample * shape[-1], axis=-1)
+    assert x.shape == expected.shape and x.dtype == expected.dtype
+    assert x.tobytes() == expected.tobytes()
+    assert x.flags.owndata
+
+
 def test_fft_result_owns_its_bins():
     # a view of the first N bins would keep the whole L*N transform alive
     c = np.ones((3, 8), dtype=complex)

@@ -92,6 +92,27 @@ class TestRelaxRun:
         assert not rep.bypassed.any()
         assert len(calls) == 1 + rep.iterations == 4
 
+    def test_feasible_start_reuses_its_signal(self, monkeypatch):
+        # feasible_start_state returns x1 = A c1, so the start makes no
+        # transform of its own beyond the sweep loop's x_raw
+        from papradmm import dsp
+
+        calls = []
+        original = dsp.ifft_oversampled
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dsp, "ifft_oversampled", counting)
+        params = stock_params(max_iters=3, eps=0.0)
+        feasible_start_state(self.c_o, PLAN, params, 4)
+        in_start = len(calls)
+        calls.clear()
+        _, _, rep = relax_solve(self.c_o, PLAN, params, 4, feasible_start=True)
+        assert not rep.bypassed.any() and rep.iterations == 3
+        assert len(calls) == 1 + in_start + rep.iterations
+
     def test_descent_margin_every_sweep(self):
         params = stock_params(max_iters=50, eps=0.0)
         _, _, rep = relax_solve(self.c_o, PLAN, params, 4, certify=True)

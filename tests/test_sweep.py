@@ -1,0 +1,181 @@
+"""The sweep loop's in-place contract, shared by both engines.
+
+The engines write their state in place, so these tests pin what that must
+never change: the caller's input, the independence of the returned arrays,
+the working set of one row block and the bits of every row, whatever batch
+it is solved in.
+"""
+
+import functools
+import tracemalloc
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from papradmm import (
+    AdmmParams,
+    CarrierPlan,
+    Constellation,
+    c_update,
+    direct_solve,
+    fft_oversampled,
+    ifft_oversampled,
+    map_bits,
+    papr,
+    relax_solve,
+    uw_update,
+    x_update,
+    z_projection,
+)
+from papradmm import dsp, experiments
+from papradmm.config import ExperimentConfig
+
+ALPHA = 10 ** 0.4
+PLAN = CarrierPlan.default(64, 12)
+QAM16 = Constellation.qam16()
+# squared steps at which some rows stop within 8 sweeps and others do not
+LOOSE_EPS = {"direct": 0.05, "relax": 2e-5}
+
+
+def random_symbols(rng, count):
+    bits = rng.integers(0, 2, size=(count, PLAN.n_data * 4))
+    return map_bits(bits, QAM16, PLAN)
+
+
+def tone_row():
+    """A single data carrier: PAPR 1, so every engine bypasses it."""
+    c = np.zeros(PLAN.n_carriers, dtype=complex)
+    c[PLAN.data_idx[3]] = 1.0
+    return c
+
+
+def solve(engine, c_o, beta=0.15, max_iters=5, eps=1e-8, **kwargs):
+    if engine == "direct":
+        params = AdmmParams(alpha=ALPHA, beta=beta, rho=100.0, max_iters=max_iters, eps=eps)
+        return direct_solve(c_o, PLAN, params, 4)
+    params = AdmmParams(
+        alpha=ALPHA, beta=beta, rho=300.0, rho_tilde=100.0, max_iters=max_iters, eps=eps
+    )
+    return relax_solve(c_o, PLAN, params, 4, **kwargs)
+
+
+def final_state(engine, rep):
+    if engine == "direct":
+        return {"y_final": rep.y_final, "mu_final": rep.mu_final}
+    return {"u_final": rep.u_final, "w_final": rep.w_final}
+
+
+def residual(engine, rep, n_rows):
+    r = rep.change_residual if engine == "direct" else rep.residual
+    return r.reshape(-1, n_rows)
+
+
+ENGINES = [
+    ("direct", {}),
+    ("relax", {}),
+    ("relax", {"certify": True}),
+    ("relax", {"feasible_start": True}),
+    ("relax", {"feasible_start": True, "certify": True}),
+]
+
+
+class TestOwnership:
+    @pytest.mark.parametrize("engine,kwargs", ENGINES)
+    @pytest.mark.parametrize("max_iters", [0, 3])
+    @pytest.mark.parametrize("batch", ["single_row", "with_bypassed"])
+    def test_outputs_share_no_memory_and_input_is_kept(self, engine, kwargs, max_iters, batch):
+        rng = np.random.default_rng(5)
+        if batch == "single_row":
+            c_o = random_symbols(rng, 1)[0]
+        else:
+            c_o = np.vstack([random_symbols(rng, 3), tone_row(), random_symbols(rng, 2)])
+        kept = c_o.copy()
+        x, c, rep = solve(engine, c_o, max_iters=max_iters, eps=0.0, **kwargs)
+        assert c_o.tobytes() == kept.tobytes()
+        if batch == "with_bypassed":
+            assert rep.bypassed.tolist() == [False] * 3 + [True] + [False] * 2
+            # bypassed rows transmit the raw signal and keep c_o
+            assert np.array_equal(x[3], ifft_oversampled(c_o[3], 4))
+            assert np.array_equal(c[3], c_o[3])
+        arrays = {"c_o": c_o, "x": x, "c": c, **final_state(engine, rep)}
+        for (name_a, a), (name_b, b) in combinations(arrays.items(), 2):
+            assert not np.shares_memory(a, b), (name_a, name_b)
+
+    def test_kernels_leave_their_inputs_unchanged(self):
+        rng = np.random.default_rng(9)
+        c = random_symbols(rng, 4)
+        b = ifft_oversampled(c, 4)
+        b[1, 2:] = 0.0  # two nonzero samples: the saturated branch
+        b[2] = 0.0  # the degenerate branch
+        ac = ifft_oversampled(random_symbols(rng, 4), 4)
+        y1 = 0.1 * ac[::-1]
+        y2 = -0.3 * b
+        inputs = [c, b, ac, y1, y2]
+        kept = [a.copy() for a in inputs]
+        x_update(b, ALPHA)
+        z_projection(b[[0, 1, 3]], ALPHA)
+        for beta in (0.0, 0.15):
+            c_update(c, PLAN, beta, 0.4)
+        uw_update(b, ac, y1, y2, 300.0, 100.0)
+        ifft_oversampled(c, 4)
+        fft_oversampled(b, 4)
+        for a, k in zip(inputs, kept):
+            assert a.tobytes() == k.tobytes()
+
+
+@pytest.mark.parametrize("engine,limit_mb", [("relax", 7.0), ("direct", 5.11)])
+def test_row_block_working_set(engine, limit_mb):
+    # One stock row block (128 symbols x 256 samples, 512 KB per complex
+    # array) at beta 0.15 and 5 sweeps.  Above glibc's ~8 MB trim threshold
+    # the heap top is handed back and faulted in again block after block.
+    cfg = ExperimentConfig()
+    plan = experiments.make_plan(cfg)
+    const = dsp.Constellation.from_name(cfg.constellation)
+    c_o = dsp.map_bits(experiments.generate_bits(cfg, 128, const, plan), const, plan)
+    params = experiments.admm_params(cfg, solver=engine, beta=0.15, iterations=5)
+    solver = direct_solve if engine == "direct" else relax_solve
+    tracemalloc.start()
+    try:
+        solver(c_o, plan, params, cfg.oversample)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 1e6, peak
+
+
+POOL = np.vstack([random_symbols(np.random.default_rng(8), 8), tone_row()])
+
+
+@functools.lru_cache(maxsize=None)
+def solved_alone(engine, beta, row):
+    return solve(engine, POOL[row : row + 1], beta=beta, max_iters=8, eps=LOOSE_EPS[engine])
+
+
+@settings(deadline=None)
+@given(
+    rows=st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=12),
+    engine=st.sampled_from(["direct", "relax"]),
+    beta=st.sampled_from([0.0, 0.15, 0.3]),
+)
+def test_rows_solve_alone_as_in_any_batch(rows, engine, beta):
+    x, c, rep = solve(engine, POOL[rows], beta=beta, max_iters=8, eps=LOOSE_EPS[engine])
+    batch_residual = residual(engine, rep, len(rows))
+    batch_state = final_state(engine, rep)
+    for i, row in enumerate(rows):
+        x1, c1, rep1 = solved_alone(engine, beta, row)
+        assert np.array_equal(x[i], x1[0]) and np.array_equal(c[i], c1[0])
+        assert rep.bypassed[i] == rep1.bypassed[0]
+        assert rep.converged[i] == rep1.converged[0]
+        # a row that stopped earlier than the batch records zero steps after
+        alone = residual(engine, rep1, 1)[:, 0]
+        assert np.array_equal(batch_residual[: alone.size, i], alone)
+        assert not batch_residual[alone.size :, i].any()
+        for name, value in final_state(engine, rep1).items():
+            assert np.array_equal(batch_state[name][i], value[0]), name
+    assert np.all(papr(x) <= ALPHA * (1.0 + 1e-9))
+    free = np.sum(np.abs(c[:, PLAN.free_idx]) ** 2, axis=-1)
+    data = np.sum(np.abs(c[:, PLAN.data_idx]) ** 2, axis=-1)
+    assert np.all(free <= beta * (1.0 + 1e-9) * data)
