@@ -50,9 +50,9 @@ BENCH_BATCH = 64
 BENCH_REPEATS = 5
 # Time samples per solve_batch block (128 symbols at 64 carriers and L=4, or
 # 512 KB per complex array).  Both engines update their state in place, so
-# one block's working set peaks at about 6.3 MB for the relaxed engine and
+# one block's working set peaks at about 5.9 MB for the relaxed engine and
 # 4.7 MB for the direct one (tracemalloc, 5 sweeps; tests/test_sweep.py pins
-# 7.0 and 5.11 MB).  That is below glibc's heap-trim threshold, twice the
+# 6.2 and 5.11 MB).  That is below glibc's heap-trim threshold, twice the
 # largest freed mmapped chunk (~8 MB once a 4 MB batch output is freed), so
 # block-sized arrays are reused from the allocator's free lists rather than
 # handed back to the OS and faulted in again, and the working set is per

@@ -9,10 +9,10 @@ Lagrangian by at least ``lambda_min(Q)`` times the squared (u, w) step, where
          [ 2*rho_tilde^2/rho - rho_tilde/2 ,  (rho_tilde+rho)/2 - 2*rho_tilde^2/rho ]]
 
 whose eigenvalues are ``rho/2`` and ``(rho^2 + 2*rho*rho_tilde -
-8*rho_tilde^2) / (2*rho)``.  After the first full sweep the multipliers obey
-``y1 = rho_tilde*(u - w) = -y2`` identically; a run with ``certify=True``
-records both facts per iteration, so it can certify its own convergence
-behaviour.
+8*rho_tilde^2) / (2*rho)``.  From the start state on the multipliers obey
+``y1 = rho_tilde*(u - w) = -y2``, so the engine keeps only (u, w) and derives
+them; a run with ``certify=True`` records the descent and the identity per
+iteration, so it can certify its own convergence behaviour.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import dsp
 from .params import AdmmParams
-from .subproblems import c_update, uw_update, x_update
+from .subproblems import _running_norm, c_update, uw_update, x_update
 from .sweep import row_norm, run_sweeps
 
 
@@ -33,10 +33,11 @@ class RelaxReport:
     and are ``None`` otherwise: ``lagrangian`` has shape ``(n_iters + 1, K)``
     and starts with ``lagrangian_initial``; ``descent_lhs/rhs`` are the two
     sides of the per-sweep descent bound and ``identity_residual`` is the
-    max-norm violation of the multiplier identities.  All other traces have
-    shape ``(n_iters, K)``.  ``feasible_start`` flags symbols whose initial
-    pair satisfied all constraints with ``Ac1 = x1`` (see
-    :func:`feasible_start_state`).
+    max-norm distance of the explicit dual steps from the multipliers derived
+    at the new (u, w) (0 on a stopped symbol).  All other traces have shape
+    ``(n_iters, K)``; ``u_final`` and ``w_final`` give the final multipliers.
+    ``feasible_start`` flags symbols whose initial pair satisfied all
+    constraints with ``Ac1 = x1`` (see :func:`feasible_start_state`).
     """
 
     iterations: int
@@ -91,18 +92,17 @@ def multiplier_identity_residual(u, w, y1, y2, rho_tilde: float) -> np.ndarray:
     return np.maximum(r1, r2)
 
 
-def relax_lagrangian(c, ac, x, u, w, y1, y2, c_o, plan, rho, rho_tilde):
-    """Augmented Lagrangian of the relaxed model, per symbol.
+def relax_lagrangian(c, ac, x, u, w, y1, c_o, plan, rho, rho_tilde):
+    """Augmented Lagrangian of the relaxed model, per symbol, at ``y2 = -y1``.
 
     ``ac`` is the modulated ``c`` (``A c``), which the sweep already holds.
     """
     gap_u = ac - u
     gap_w = x - w
-    dist = row_norm((c - c_o)[..., plan.data_idx]) ** 2
+    dist = _running_norm((c - c_o)[..., plan.data_idx]) ** 2
     return (
         0.5 * dist
-        + np.real(np.sum(np.conj(y1) * gap_u, axis=-1))
-        + np.real(np.sum(np.conj(y2) * gap_w, axis=-1))
+        + np.real(np.sum(np.conj(y1) * (gap_u - gap_w), axis=-1))
         + 0.5 * rho_tilde * row_norm(u - w) ** 2
         + 0.5 * rho * (row_norm(gap_u) ** 2 + row_norm(gap_w) ** 2)
     )
@@ -142,8 +142,8 @@ def feasible_start_state(
         settled = settled | (dsp.papr(x) <= params.alpha)
     c1 = dsp.fft_oversampled(x, oversample)
     x1 = dsp.ifft_oversampled(c1, oversample)
-    f_sq = row_norm(c1[..., plan.free_idx]) ** 2
-    d_sq = row_norm(c1[..., plan.data_idx]) ** 2
+    f_sq = _running_norm(c1[..., plan.free_idx]) ** 2
+    d_sq = _running_norm(c1[..., plan.data_idx]) ** 2
     fcpo_ok = f_sq <= params.beta * d_sq * (1.0 + rel_tol) + 1e-30
     papr_ok = dsp.papr(x1) <= params.alpha * (1.0 + rel_tol)
     return c1, x1, papr_ok & fcpo_ok
@@ -165,7 +165,7 @@ def relax_solve(
     :func:`feasible_start_state` (so the consensus-gap bound applies to the
     flagged symbols); otherwise ``c1 = c_o`` and ``x1`` is the PAPR
     projection of the raw signal.  Either way the auxiliaries start at their
-    common mean, ``u1 = w1 = (A c1 + x1)/2``, and the multipliers at zero.
+    common mean, ``u1 = w1 = (A c1 + x1)/2``, so the multipliers start at zero.
     With ``certify=True`` every sweep also records the Lagrangian, the
     descent check and the multiplier identities (see :class:`RelaxReport`);
     the iterates do not depend on it.
@@ -181,8 +181,8 @@ def relax_solve(
         )
     rho, rho_tilde = params.rho, params.rho_tilde
     r = rho / (plan.n_carriers * oversample)
-    # y * (1/rho) has the values of y / rho without a complex division
-    inv_rho = 1.0 / rho
+    # y1/rho = (rho_tilde/rho)*(u - w)
+    tie = rho_tilde / rho
 
     def start(c_o, x_raw):
         feas = None
@@ -198,7 +198,7 @@ def relax_solve(
         # sweep, the first one included.
         u = np.add(ac, x)
         np.multiply(0.5, u, out=u)
-        sd_dist = row_norm((c - c_o)[..., plan.data_idx]) ** 2
+        sd_dist = _running_norm((c - c_o)[..., plan.data_idx]) ** 2
         # relax_lagrangian's multiplier and tie terms are exact zeros here
         # (y1 = y2 = 0, u = w), and adding a zero to the nonnegative distance
         # term leaves it unchanged, so dropping them keeps every bit.
@@ -207,7 +207,6 @@ def relax_solve(
         )
         return {
             "c": c, "ac": ac, "x": x, "u": u, "w": u.copy(),
-            "y1": np.zeros_like(u), "y2": np.zeros_like(u),
             "lagr": lagr,
             "lagr_initial": lagr,
             "sd_dist_initial": sd_dist,
@@ -215,40 +214,38 @@ def relax_solve(
         }
 
     def step(c_o, s, where_active):
-        u, w, y1, y2 = s["u"], s["w"], s["y1"], s["y2"]
-        b = np.multiply(y1, inv_rho)
-        v = c_o + r * dsp.fft_oversampled(np.subtract(u, b, out=b), oversample)
+        u, w = s["u"], s["w"]
+        d = np.subtract(u, w)
+        b = np.multiply(tie, d)
+        v = c_o + r * dsp.fft_oversampled(u - b, oversample)
         cres = c_update(v, plan, params.beta, r)
         c = where_active(cres.c, s["c"])
         ac = dsp.ifft_oversampled(c, oversample)
-        np.multiply(y2, inv_rho, out=b)
-        x = where_active(x_update(np.subtract(w, b, out=b), params.alpha).x, s["x"])
-        # free b and the old ac and x before uw_update's four arrays, the
+        x = where_active(x_update(np.add(w, b, out=b), params.alpha).x, s["x"])
+        # free b and the old ac and x before uw_update's three arrays, the
         # peak of the sweep's working set
         del b
         s.update(c=c, ac=ac, x=x)
-        u_new, w_new = uw_update(x, ac, y1, y2, rho, rho_tilde)
+        y1 = np.multiply(rho_tilde, d, out=d)
+        u_new, w_new = uw_update(x, ac, y1, rho, rho_tilde)
         u_new = where_active(u_new, u)
         w_new = where_active(w_new, w)
-        # The old u and w leave the state here: each takes its step and then
-        # its multiplier's dual step y + rho*(gap).
+        # the old u and w leave the state here, each taking its step
         du_sq = row_norm(np.subtract(u_new, u, out=u)) ** 2
         dw_sq = row_norm(np.subtract(w_new, w, out=w)) ** 2
-        np.subtract(ac, u_new, out=u)
-        np.multiply(rho, u, out=u)
-        y1_new = where_active(np.add(y1, u, out=u), y1)
-        np.subtract(x, w_new, out=w)
-        np.multiply(rho, w, out=w)
-        y2_new = where_active(np.add(y2, w, out=w), y2)
-        s.update(u=u_new, w=w_new, y1=y1_new, y2=y2_new)
+        s.update(u=u_new, w=w_new)
 
         trace = {}
         if certify:
+            # the explicit dual steps from y1, which a stopped symbol skips
+            y1_new = rho_tilde * (u_new - w_new)
+            step_u = where_active(y1 + rho * (ac - u_new), y1_new)
+            step_w = where_active(rho * (x - w_new) - y1, -y1_new)
+            ident = multiplier_identity_residual(u_new, w_new, step_u, step_w, rho_tilde)
             lagr = relax_lagrangian(
-                c, ac, x, u_new, w_new, y1_new, y2_new, c_o, plan, rho, rho_tilde
+                c, ac, x, u_new, w_new, y1_new, c_o, plan, rho, rho_tilde
             )
             lhs, rhs, _ = descent_check(s["lagr"], lagr, du_sq, dw_sq, rho, rho_tilde)
-            ident = multiplier_identity_residual(u_new, w_new, y1_new, y2_new, rho_tilde)
             trace.update(lagr=lagr, lhs=lhs, rhs=rhs, ident=ident)
             s["lagr"] = lagr
         return du_sq + dw_sq, trace
@@ -277,7 +274,7 @@ def relax_solve(
             identity_residual=certificate("ident"),
             consensus_gap=consensus_gap,
             sd_dist_initial=s["sd_dist_initial"],
-            sd_dist_final=row_norm((sweeps.c - sweeps.c_o)[..., plan.data_idx]) ** 2,
+            sd_dist_final=_running_norm((sweeps.c - sweeps.c_o)[..., plan.data_idx]) ** 2,
             uw_gap_final=row_norm(s["u"] - s["w"]) ** 2,
             u_final=s["u"],
             w_final=s["w"],

@@ -8,7 +8,7 @@
   ``x = t*z`` with ``||z||^2 = 1`` and per-sample caps ``|z_i|^2 <= alpha/n``,
   where the cap multiplier ``gamma`` is solved exactly from one sort per row.
 * :func:`uw_update` -- closed-form joint minimizer of the two auxiliary
-  consensus blocks used by the relaxed engine.
+  consensus blocks used by the relaxed engine, at its multipliers y2 = -y1.
 
 All functions are vectorized over leading axes (batch of symbols).
 """
@@ -230,44 +230,33 @@ def x_update(b, alpha: float) -> XUpdateResult:
     )
 
 
-def uw_update(x, ac, y1, y2, rho: float, rho_tilde: float):
-    """Joint closed-form minimizer of the two consensus blocks.
+def uw_update(x, ac, y1, rho: float, rho_tilde: float):
+    """Joint closed-form minimizer of the two consensus blocks at ``y2 = -y1``.
 
     Returns ``(u, w)`` solving the stationarity pair
 
         ``-y1 + rho_tilde*(u - w) - rho*(ac - u) = 0``
-        ``-y2 - rho_tilde*(u - w) - rho*(x - w)  = 0``
+        `` y1 - rho_tilde*(u - w) - rho*(x - w)  = 0``
 
-    by inverting the 2x2 coefficient block exactly.  On the engine's own
-    trajectory the multipliers satisfy ``y2 = -y1``, and the solution then
-    collapses to the familiar averaged form
-    ``u = (y1 + rho_tilde*x + (rho + rho_tilde)*ac) / (2*rho_tilde + rho)``
-    (and symmetrically for ``w``); the general solve keeps the stationarity
-    guarantee for arbitrary multiplier inputs as well.
+    in closed form, ``u = (y1 + rho_tilde*x + (rho + rho_tilde)*ac) /
+    (rho + 2*rho_tilde)`` and symmetrically for ``w``.  The relaxed engine's
+    multipliers start at zero and its dual steps keep ``y2 = -y1``.
     """
     if rho <= 0 or rho_tilde <= 0:
         raise ValueError("rho and rho_tilde must be positive")
     x = _as_complex(x)
     ac = _as_complex(ac)
     y1 = _as_complex(y1)
-    y2 = _as_complex(y2)
-    # Each line below is one operation of
-    #   u = ((rho_tilde + rho)*rhs_u + rho_tilde*rhs_w) * inv_det
-    #   w = (rho_tilde*rhs_u + (rho_tilde + rho)*rhs_w) * inv_det
-    # in the same order, written into four arrays instead of twelve.
-    # Multiplying by 1/det has the values of dividing by det, without a
+    # Multiplying by the inverse has the values of the division without a
     # complex division.
-    inv_det = 1.0 / (rho * (rho + 2.0 * rho_tilde))
-    rhs_u = np.multiply(rho, ac)
-    np.add(y1, rhs_u, out=rhs_u)
-    rhs_w = np.multiply(rho, x)
-    np.add(y2, rhs_w, out=rhs_w)
-    u = np.multiply(rho_tilde + rho, rhs_u)
-    w = np.multiply(rho_tilde, rhs_w)
+    inv = 1.0 / (rho + 2.0 * rho_tilde)
+    u = np.multiply(rho + rho_tilde, ac)
+    w = np.multiply(rho_tilde, x)
     np.add(u, w, out=u)
-    np.multiply(u, inv_det, out=u)
-    np.multiply(rho_tilde, rhs_u, out=w)
-    np.multiply(rho_tilde + rho, rhs_w, out=rhs_w)
-    np.add(w, rhs_w, out=w)
-    np.multiply(w, inv_det, out=w)
+    np.add(u, y1, out=u)
+    np.multiply(u, inv, out=u)
+    np.multiply(rho + rho_tilde, x, out=w)
+    np.add(w, np.multiply(rho_tilde, ac), out=w)
+    np.subtract(w, y1, out=w)
+    np.multiply(w, inv, out=w)
     return u, w

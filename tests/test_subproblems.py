@@ -377,47 +377,42 @@ class TestUwUpdate:
     def test_consensus_is_fixed_point(self):
         rng = np.random.default_rng(17)
         v = rng.normal(size=12) + 1j * rng.normal(size=12)
-        u, w = uw_update(v, v, np.zeros(12), np.zeros(12), 300.0, 100.0)
+        u, w = uw_update(v, v, np.zeros(12), 300.0, 100.0)
         assert np.abs(u - v).max() < 1e-12
         assert np.abs(w - v).max() < 1e-12
 
     def test_stationarity_residuals_vanish(self):
+        # both equations of the pair, with the engine's y2 = -y1
         rng = np.random.default_rng(18)
         for _ in range(20):
             rho = float(rng.uniform(10, 500))
             rho_tilde = float(rng.uniform(1, rho / 2.01))
             shape = (3, 16)
-            x, ac, y1, y2 = (
-                rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(4)
+            x, ac, y1 = (
+                rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(3)
             )
-            u, w = uw_update(x, ac, y1, y2, rho, rho_tilde)
+            u, w = uw_update(x, ac, y1, rho, rho_tilde)
             g1 = -y1 + rho_tilde * (u - w) - rho * (ac - u)
-            g2 = -y2 - rho_tilde * (u - w) - rho * (x - w)
-            scale = max(np.abs(y1).max(), np.abs(y2).max(), 1.0)
+            g2 = y1 - rho_tilde * (u - w) - rho * (x - w)
+            scale = max(np.abs(y1).max(), 1.0)
             assert np.abs(g1).max() <= 1e-10 * scale
             assert np.abs(g2).max() <= 1e-10 * scale
 
-    def test_reduces_to_averaged_form_on_trajectory(self):
-        rng = np.random.default_rng(19)
-        x, ac, y1 = (rng.normal(size=8) + 1j * rng.normal(size=8) for _ in range(3))
-        rho, rho_tilde = 300.0, 100.0
-        u, w = uw_update(x, ac, y1, -y1, rho, rho_tilde)
-        denom = 2 * rho_tilde + rho
-        assert np.abs(u - (y1 + rho_tilde * x + (rho + rho_tilde) * ac) / denom).max() < 1e-12
-        assert np.abs(w - (-y1 + (rho_tilde + rho) * x + rho_tilde * ac) / denom).max() < 1e-12
-
     def test_multiplier_identity_after_dual_step(self):
+        # the explicit dual steps land on y1 = rho_tilde*(u - w) = -y2, which
+        # is what lets the relaxed engine derive its multipliers from (u, w)
         rng = np.random.default_rng(20)
         rho, rho_tilde = 300.0, 100.0
         x, ac = (rng.normal(size=8) + 1j * rng.normal(size=8) for _ in range(2))
         y1 = rng.normal(size=8) + 1j * rng.normal(size=8)
-        y2 = -y1
-        u, w = uw_update(x, ac, y1, y2, rho, rho_tilde)
+        u, w = uw_update(x, ac, y1, rho, rho_tilde)
         y1_next = y1 + rho * (ac - u)
-        y2_next = y2 + rho * (x - w)
+        y2_next = -y1 + rho * (x - w)
         assert np.abs(y1_next - rho_tilde * (u - w)).max() < 1e-10
         assert np.abs(y2_next + rho_tilde * (u - w)).max() < 1e-10
 
     def test_rejects_bad_penalties(self):
         with pytest.raises(ValueError):
-            uw_update(np.ones(4), np.ones(4), np.zeros(4), np.zeros(4), 0.0, 1.0)
+            uw_update(np.ones(4), np.ones(4), np.zeros(4), 0.0, 1.0)
+        with pytest.raises(ValueError):
+            uw_update(np.ones(4), np.ones(4), np.zeros(4), 1.0, 0.0)
