@@ -14,7 +14,6 @@ from .dsp import (
 from .params import AdmmParams, db_to_linear
 from .subproblems import (
     CUpdateResult,
-    XUpdateResult,
     c_update,
     uw_update,
     x_update,
@@ -30,13 +29,12 @@ from .relax import (
     relax_solve,
     iteration_complexity_bound,
 )
-from .rcf import RcfParams, rcf
+from .rcf import rcf
 from .channel import (
-    MultipathProfile,
-    SspaParams,
     channel_frequency_response,
     equalize_zero_forcing,
     multipath_apply,
+    multipath_impulse_response,
     noise_variance_per_sample,
     saturation_amplitude,
     sspa,

@@ -1,47 +1,44 @@
 """Transmitter back end and channel models: SSPA, multipath, equalizer.
 
-Every function here works row by row on a symbol batch, given a batch-wide
+The amplifier and the multipath channel are fixed models; their parameters
+are module constants (``SSPA_*``, ``MULTIPATH_*``), not arguments.  Every
+function here works row by row on a symbol batch, given a batch-wide
 saturation amplitude, so ``experiments.run_ber`` applies them to one row
 block at a time.  The drivers add receiver noise themselves
 (``experiments._unit_noise``).
 """
 
 import numpy as np
-from dataclasses import dataclass
 
 from . import dsp
 
+# The memoryless solid-state amplifier: smoothness p and input back-off (dB)
+# from the mean power of the batch it amplifies
+SSPA_SMOOTHNESS = 3.0
+SSPA_BACKOFF_DB = 4.1
 
-@dataclass(frozen=True)
-class SspaParams:
-    """Memoryless solid-state amplifier with smoothness ``p`` and back-off.
 
-    The saturation amplitude is referenced to the mean power of the batch
-    being amplified: ``a_sat^2 = mean|x|^2 * 10**(input_backoff_db/10)``.
+def saturation_amplitude(x) -> float:
+    """Saturation amplitude placing the batch mean power ``SSPA_BACKOFF_DB`` below it.
+
+    ``a_sat^2 = mean|x|^2 * 10**(SSPA_BACKOFF_DB/10)``.
     """
-
-    smoothing_p: float = 3.0
-    input_backoff_db: float = 4.1
-
-    def __post_init__(self):
-        if self.smoothing_p <= 0:
-            raise ValueError("smoothing_p must be > 0")
-
-
-def saturation_amplitude(x, input_backoff_db: float) -> float:
-    """Saturation amplitude placing the batch mean power IBO dB below it."""
     mean_power = float(np.mean(np.abs(x) ** 2))
     if mean_power == 0.0:
         raise dsp.DegenerateSymbolError("cannot back off from a silent batch")
-    return float(np.sqrt(mean_power * 10.0 ** (input_backoff_db / 10.0)))
+    return float(np.sqrt(mean_power * 10.0 ** (SSPA_BACKOFF_DB / 10.0)))
 
 
-def sspa(x, params: SspaParams = SspaParams(), a_sat: float | None = None) -> np.ndarray:
-    """Amplitude compression ``A -> A / (1 + (A/a_sat)^(2p))^(1/(2p))``, phase kept."""
+def sspa(x, a_sat: float | None = None) -> np.ndarray:
+    """Amplitude compression ``A -> A / (1 + (A/a_sat)^(2p))^(1/(2p))``, phase kept.
+
+    ``p = SSPA_SMOOTHNESS``; ``a_sat`` defaults to the batch's own
+    :func:`saturation_amplitude`.
+    """
     x = dsp._as_complex(x)
     if a_sat is None:
-        a_sat = saturation_amplitude(x, params.input_backoff_db)
-    p2 = 2.0 * params.smoothing_p
+        a_sat = saturation_amplitude(x)
+    p2 = 2.0 * SSPA_SMOOTHNESS
     gain = (1.0 + (np.abs(x) / a_sat) ** p2) ** (-1.0 / p2)
     return x * gain
 
@@ -64,33 +61,20 @@ def noise_variance_per_sample(ebn0_db: float, eb: float, n_samples: int) -> floa
 NATIVE_BANDWIDTH_HZ = 20e6
 
 
-@dataclass(frozen=True)
-class MultipathProfile:
-    """Static tap-delay line; delays in ns on the oversampled grid.
+# The static four-path channel: tap delays in ns and gains, a unit direct
+# path first.  At NATIVE_BANDWIDTH_HZ and the usual over-sampling factor of 4
+# the taps land on sample offsets (0, 15, 24, 32).
+MULTIPATH_DELAYS_NS = (0.0, 190.0, 300.0, 400.0)
+MULTIPATH_GAINS = (1.0, 0.2, 0.07, 0.05)
 
-    The default is a four-path profile with a unit direct path.  Delays are
-    rounded to samples at ``sample_rate``; at ``NATIVE_BANDWIDTH_HZ`` the
-    usual over-sampling factor of 4 puts the default taps at sample offsets
-    (0, 15, 24, 32).
-    """
 
-    delays_ns: tuple = (0.0, 190.0, 300.0, 400.0)
-    gains: tuple = (1.0, 0.2, 0.07, 0.05)
-
-    def __post_init__(self):
-        if len(self.delays_ns) != len(self.gains):
-            raise ValueError("delays and gains must pair up")
-        if self.delays_ns[0] != 0.0 or self.gains[0] != 1.0:
-            raise ValueError("first tap must be the unit direct path (0, 1)")
-        if any(g < 0 for g in self.gains):
-            raise ValueError("tap gains must be non-negative")
-
-    def impulse_response(self, sample_rate: float) -> np.ndarray:
-        offsets = [round(d * 1e-9 * sample_rate) for d in self.delays_ns]
-        h = np.zeros(max(offsets) + 1)
-        for off, g in zip(offsets, self.gains):
-            h[off] += g
-        return h
+def multipath_impulse_response(sample_rate: float) -> np.ndarray:
+    """The multipath taps, their delays rounded to samples at ``sample_rate``."""
+    offsets = [round(d * 1e-9 * sample_rate) for d in MULTIPATH_DELAYS_NS]
+    h = np.zeros(max(offsets) + 1)
+    for off, g in zip(offsets, MULTIPATH_GAINS):
+        h[off] += g
+    return h
 
 
 def multipath_apply(x, h: np.ndarray):

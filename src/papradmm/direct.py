@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import dsp
 from .params import AdmmParams
 from .subproblems import c_update, x_update, z_projection
-from .sweep import row_norm, run_sweeps
+from .sweep import row_norm, run_sweeps, running_norm
 
 
 @dataclass
@@ -50,7 +50,7 @@ def augmented_lagrangian(c, ac, x, y, c_o, plan, rho: float) -> np.ndarray:
     The engine itself does not evaluate it; its stop rule reads the step.
     """
     gap = ac - x
-    dist = row_norm((c - c_o)[..., plan.data_idx]) ** 2
+    dist = running_norm((c - c_o)[..., plan.data_idx]) ** 2
     return (
         0.5 * dist
         + np.real(np.sum(np.conj(y) * gap, axis=-1))
@@ -88,7 +88,7 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
     def start(c_o, x_raw):
         return {
             "c": c_o.copy(),
-            "x": x_update(x_raw, params.alpha).x,
+            "x": x_update(x_raw, params.alpha),
             "y": np.zeros_like(x_raw),
             "mu": np.zeros(c_o.shape[0]),
         }
@@ -101,7 +101,7 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
         cres = c_update(v, plan, params.beta, r)
         c_new = where_active(cres.c, c)
         ac = dsp.ifft_oversampled(c_new, oversample)
-        x_new = where_active(x_update(np.add(ac, y_scaled, out=b), params.alpha).x, x)
+        x_new = where_active(x_update(np.add(ac, y_scaled, out=b), params.alpha), x)
         # the dual step y + rho*(ac - x') is built in ac, and the x step in
         # the old x, which no longer belongs to the state
         np.subtract(ac, x_new, out=ac)
@@ -166,8 +166,8 @@ def direct_kkt_residual(
     if beta == 0.0:
         # Free carriers are pinned by an equality constraint whose multiplier
         # absorbs any gradient there; stationarity is checked on data bins.
-        grad_c = row_norm(diff[..., plan.data_idx])
-        slack = row_norm(c[..., plan.free_idx]) ** 2
+        grad_c = running_norm(diff[..., plan.data_idx])
+        slack = running_norm(c[..., plan.free_idx]) ** 2
         neg_mu = np.zeros_like(primal)
     else:
         grad = diff.copy()
@@ -179,8 +179,8 @@ def direct_kkt_residual(
             - 2.0 * (mu * beta)[:, None] * c[..., plan.data_idx]
         )
         grad_c = row_norm(grad)
-        f_sq = row_norm(c[..., plan.free_idx]) ** 2
-        d_sq = row_norm(c[..., plan.data_idx]) ** 2
+        f_sq = running_norm(c[..., plan.free_idx]) ** 2
+        d_sq = running_norm(c[..., plan.data_idx]) ** 2
         slack = np.abs(mu * (f_sq - beta * d_sq))
         neg_mu = np.maximum(0.0, -mu)
 

@@ -17,11 +17,10 @@ import numpy as np
 from . import dsp, metrics
 from .channel import (
     NATIVE_BANDWIDTH_HZ,
-    MultipathProfile,
-    SspaParams,
     channel_frequency_response,
     equalize_zero_forcing,
     multipath_apply,
+    multipath_impulse_response,
     noise_variance_per_sample,
     saturation_amplitude,
     sspa,
@@ -29,7 +28,7 @@ from .channel import (
 from .config import ConfigError, ExperimentConfig
 from .direct import direct_solve
 from .params import AdmmParams, db_to_linear
-from .rcf import RcfParams, rcf
+from .rcf import rcf
 from .relax import relax_solve
 
 _BITS_STAGE = 0
@@ -39,8 +38,13 @@ _NOISE_STAGE = 1
 # own keeps their streams apart from those of the other points.
 _NEGATIVE_NOISE_STAGE = 2
 
+# Solvers of the ccdf, ber and psd drivers, in row order; "none" transmits
+# the raw signal
+SOLVERS = ("none", "direct", "relax", "rcf")
 # FCPO bounds of the table2 rows
 BETA_GRID = (0.0, 0.15, 0.3)
+# Tie penalties of the consensus-gap rows (rho = 3*rho_tilde)
+RHO_TILDE_GRID = (10.0, 30.0, 100.0, 300.0)
 # PAPR thresholds of the ccdf curves: 2 to 12 dB in 0.05 dB steps
 CCDF_THRESHOLDS_DB = np.arange(2.0, 12.0 + 0.05 / 2, 0.05)
 PSD_SEG_LEN = 1024
@@ -197,7 +201,7 @@ def _solve_chunk(cfg, solver, c_o, plan, beta=None):
     if solver == "none":
         return dsp.ifft_oversampled(c_o, cfg.oversample), c_o
     if solver == "rcf":
-        x = rcf(c_o, plan, RcfParams(cfg.alpha_db), cfg.oversample)
+        x = rcf(c_o, plan, cfg.alpha_db, cfg.oversample)
         return x, dsp.fft_oversampled(x, cfg.oversample)
     params = admm_params(cfg, solver=solver, beta=beta)
     if solver == "direct":
@@ -284,7 +288,7 @@ def run_ccdf(cfg: ExperimentConfig):
     """PAPR exceedance curves for the original signal and each solver."""
     plan, _, _, c_o = _symbols(cfg, cfg.n_symbols)
     rows = [("solver", "threshold_db", "ccdf")]
-    for solver in ("none", "direct", "relax", "rcf"):
+    for solver in SOLVERS:
         x, _ = solve_batch(cfg, solver, c_o, plan)
         curve = metrics.ccdf(dsp.papr_db(x), CCDF_THRESHOLDS_DB)
         label = "original" if solver == "none" else solver
@@ -309,7 +313,7 @@ def run_convergence(cfg: ExperimentConfig):
     return rows
 
 
-def run_consensus_gap(cfg: ExperimentConfig, rho_tilde_grid=(10.0, 30.0, 100.0, 300.0)):
+def run_consensus_gap(cfg: ExperimentConfig):
     """Median converged coupling gap versus the tie penalty (rho = 3*rho_tilde).
 
     Runs in feasible-start mode so the analytical gap bound applies; emits
@@ -317,7 +321,7 @@ def run_consensus_gap(cfg: ExperimentConfig, rho_tilde_grid=(10.0, 30.0, 100.0, 
     """
     plan, _, _, c_o = _symbols(cfg, min(cfg.n_symbols, 200))
     rows = [("rho_tilde", "median_gap", "bound_ok_fraction", "feasible_fraction")]
-    for rho_tilde in rho_tilde_grid:
+    for rho_tilde in RHO_TILDE_GRID:
         params = AdmmParams(
             alpha=db_to_linear(cfg.alpha_db), beta=cfg.beta,
             rho=3.0 * rho_tilde, rho_tilde=rho_tilde,
@@ -339,8 +343,8 @@ def run_consensus_gap(cfg: ExperimentConfig, rho_tilde_grid=(10.0, 30.0, 100.0, 
     return rows
 
 
-def run_ber(cfg: ExperimentConfig, solvers=("none", "direct", "relax", "rcf")):
-    """BER sweep over Eb/N0 for each solver, with the PA and channel applied.
+def run_ber(cfg: ExperimentConfig):
+    """BER sweep over Eb/N0 for each of ``SOLVERS``, with the PA and channel applied.
 
     Eb is referenced to the averaged energy of the transmitted frequency
     symbols; noise is added per sample so the per-data-carrier SNR meets the
@@ -361,19 +365,18 @@ def run_ber(cfg: ExperimentConfig, solvers=("none", "direct", "relax", "rcf")):
     plan, const, bits, c_o = _symbols(cfg, cfg.n_symbols)
     n_samples = cfg.n_carriers * cfg.oversample
     multipath = cfg.channel == "multipath"
-    profile = MultipathProfile()
-    h = profile.impulse_response(cfg.oversample * NATIVE_BANDWIDTH_HZ)
+    h = multipath_impulse_response(cfg.oversample * NATIVE_BANDWIDTH_HZ)
     resp = channel_frequency_response(h, n_samples, cfg.n_carriers)
     sent = []  # (solved batch, SSPA saturation amplitude or None) per solver
     scales = []  # per solver, sqrt(var / 2) of each Eb/N0 point
-    for solver in solvers:
+    for solver in SOLVERS:
         x_clean, _ = solve_batch(cfg, solver, c_o, plan)
         c_tx = dsp.fft_oversampled(x_clean, cfg.oversample)
         es_bar = float(np.mean(np.linalg.norm(c_tx, axis=-1) ** 2))
         eb = es_bar / (plan.n_data * const.bits_per_symbol)
         a_sat = None
         if cfg.pa_enabled:
-            a_sat = saturation_amplitude(x_clean, SspaParams().input_backoff_db)
+            a_sat = saturation_amplitude(x_clean)
         sent.append((x_clean, a_sat))
         scales.append(
             [np.sqrt(noise_variance_per_sample(e, eb, n_samples) / 2.0) for e in cfg.ebn0_db]
@@ -384,7 +387,7 @@ def run_ber(cfg: ExperimentConfig, solvers=("none", "direct", "relax", "rcf")):
         for x_clean, a_sat in sent:
             x_tx = x_clean[lo:hi] if a_sat is None else sspa(x_clean[lo:hi], a_sat=a_sat)
             received.append(multipath_apply(x_tx, h) if multipath else x_tx)
-        errors = np.zeros((len(solvers), len(cfg.ebn0_db)), dtype=np.int64)
+        errors = np.zeros((len(SOLVERS), len(cfg.ebn0_db)), dtype=np.int64)
         for j, ebn0 in enumerate(cfg.ebn0_db):
             unit = _unit_noise(cfg, (hi - lo, n_samples), int(round(ebn0 * 1000)), lo)
             for k, clean in enumerate(received):
@@ -398,7 +401,7 @@ def run_ber(cfg: ExperimentConfig, solvers=("none", "direct", "relax", "rcf")):
 
     errors = sum(_run_blocks(cfg, cfg.n_symbols, n_samples, link_block))
     rows = [("solver", "channel", "ebn0_db", "ber", "bits")]
-    for solver, counts in zip(solvers, errors):
+    for solver, counts in zip(SOLVERS, errors):
         for ebn0, n_err in zip(cfg.ebn0_db, counts):
             rows.append((solver, cfg.channel, float(ebn0), int(n_err) / bits.size, bits.size))
     return rows
@@ -424,8 +427,8 @@ def _unit_noise(cfg, shape, ebn0_key, first_row=0) -> np.ndarray:
     return rails[:, 0] + 1j * rails[:, 1]
 
 
-def run_psd(cfg: ExperimentConfig, solvers=("none", "direct", "relax", "rcf")):
-    """Normalized emission spectra after the PA, one curve per solver."""
+def run_psd(cfg: ExperimentConfig):
+    """Emission spectra after the PA, one curve per solver, peak at 0 dB."""
     n_symbols = min(cfg.n_symbols, 1000)
     n_samples = n_symbols * cfg.oversample * cfg.n_carriers
     if n_samples < PSD_SEG_LEN:
@@ -435,11 +438,12 @@ def run_psd(cfg: ExperimentConfig, solvers=("none", "direct", "relax", "rcf")):
         )
     plan, _, _, c_o = _symbols(cfg, n_symbols)
     rows = [("solver", "freq_norm", "psd_db")]
-    for solver in solvers:
+    for solver in SOLVERS:
         x, _ = solve_batch(cfg, solver, c_o, plan)
         if cfg.pa_enabled:
             x = sspa(x)
-        freqs, pxx = metrics.psd(x.ravel(), seg_len=PSD_SEG_LEN, normalize_peak=True)
+        freqs, pxx = metrics.psd(x.ravel(), seg_len=PSD_SEG_LEN)
+        pxx = pxx / pxx.max()
         label = "original" if solver == "none" else solver
         # frequency axis in carrier spacings: sample rate is oversample*N spacings
         scale = cfg.oversample * cfg.n_carriers

@@ -35,50 +35,32 @@ def ccdf(samples_db, thresholds_db) -> np.ndarray:
     return above / samples.size
 
 
-def psd(
-    x,
-    seg_len: int,
-    window: str = "hann",
-    overlap: float = 0.5,
-    fs: float = 1.0,
-    normalize_peak: bool = False,
-):
+def psd(x, seg_len: int):
     """Averaged-periodogram spectral density of a complex baseband stream.
 
-    Welch's method: the mean of the windowed periodograms of segments of
-    ``seg_len`` samples that overlap by ``int(overlap * seg_len)``, scaled
-    by ``1 / (fs * sum(w**2))``.  ``window`` is ``"hann"`` (periodic) or
-    ``"boxcar"``.  Returns ``(freqs, pxx)`` two-sided and centred (ascending
-    frequency).  With a rectangular window and no overlap the density
-    integrates exactly to the stream's mean power.  ``normalize_peak``
-    rescales so the maximum is 1 (0 dB), the usual display convention for
-    emission masks.
+    Welch's method with a periodic Hann window: the mean of the windowed
+    periodograms of segments of ``seg_len`` samples that overlap by half,
+    scaled by ``1 / sum(w**2)`` (unit sample rate).  Returns ``(freqs,
+    pxx)`` two-sided and centred (ascending frequency, in cycles per
+    sample).
     """
     x = np.asarray(x).ravel()
     if x.size < seg_len:
         raise ValueError(f"stream of {x.size} samples shorter than seg_len={seg_len}")
-    if window == "hann":
-        w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg_len) / seg_len)
-    elif window == "boxcar":
-        w = np.ones(seg_len)
-    else:
-        raise ValueError(f"unknown window {window!r}; use 'hann' or 'boxcar'")
-    step = seg_len - int(overlap * seg_len)
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg_len) / seg_len)
+    step = seg_len - seg_len // 2
     segments = sliding_window_view(x, seg_len)[::step]
     spectra = np.fft.fft(segments * w, axis=-1)
-    pxx = np.fft.fftshift(np.mean(np.abs(spectra) ** 2, axis=0)) / (fs * np.sum(w * w))
-    freqs = np.fft.fftshift(np.fft.fftfreq(seg_len, 1.0 / fs))
-    if normalize_peak:
-        pxx = pxx / pxx.max()
+    pxx = np.fft.fftshift(np.mean(np.abs(spectra) ** 2, axis=0)) / np.sum(w * w)
+    freqs = np.fft.fftshift(np.fft.fftfreq(seg_len))
     return freqs, pxx
 
 
 @dataclass
 class MetricAccumulator:
-    """Bit-error counts of one BER point."""
+    """Bit-error count of one BER point."""
 
     bit_errors: int = 0
-    bits_total: int = 0
 
     def add_bits(self, tx_bits, rx_bits):
         tx = np.asarray(tx_bits).ravel()
@@ -86,10 +68,3 @@ class MetricAccumulator:
         if tx.shape != rx.shape:
             raise ValueError("bit streams differ in length")
         self.bit_errors += int(np.sum(tx != rx))
-        self.bits_total += tx.size
-
-    @property
-    def ber_value(self) -> float:
-        if self.bits_total == 0:
-            raise ValueError("no bits accumulated")
-        return self.bit_errors / self.bits_total

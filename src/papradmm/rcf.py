@@ -1,28 +1,18 @@
 """Repeated clipping-and-filtering baseline.
 
-Each pass soft-clips the oversampled time signal to an amplitude referenced
-to its current mean power, then filters by keeping only the in-band data
-carriers (free carriers are zeroed too -- this is a pure spectral filter, the
-free carriers are not used for peak cancellation here).
+Each of ``RCF_PASSES`` passes soft-clips the oversampled time signal to an
+amplitude referenced to its current mean power, then filters by keeping only
+the in-band data carriers (free carriers are zeroed too -- this is a pure
+spectral filter, the free carriers are not used for peak cancellation here).
 """
 
 import numpy as np
-from dataclasses import dataclass
 
 from . import dsp
 from .params import db_to_linear
 
-
-@dataclass(frozen=True)
-class RcfParams:
-    target_papr_db: float = 4.0
-    iterations: int = 10
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.target_papr_db <= 0.0:
-            raise ValueError("target PAPR must be > 0 dB")
+# Clip-and-filter passes per run
+RCF_PASSES = 10
 
 
 def clip(x, amplitude) -> np.ndarray:
@@ -34,13 +24,18 @@ def clip(x, amplitude) -> np.ndarray:
     return x * scale
 
 
-def rcf(c_o, plan: dsp.CarrierPlan, params: RcfParams, oversample: int) -> np.ndarray:
-    """Run clip-and-filter passes; returns the filtered time-domain batch."""
+def rcf(c_o, plan: dsp.CarrierPlan, target_papr_db: float, oversample: int) -> np.ndarray:
+    """Run clip-and-filter passes toward a PAPR target (dB, > 0).
+
+    Returns the filtered time-domain batch.
+    """
+    if target_papr_db <= 0.0:
+        raise ValueError("target PAPR must be > 0 dB")
     c_o = dsp._as_complex(c_o)
     single = c_o.ndim == 1
     c = np.atleast_2d(c_o).copy()
-    target = db_to_linear(params.target_papr_db)
-    for _ in range(params.iterations):
+    target = db_to_linear(target_papr_db)
+    for _ in range(RCF_PASSES):
         x = dsp.ifft_oversampled(c, oversample)
         mean_power = np.mean(np.abs(x) ** 2, axis=-1)
         x = clip(x, np.sqrt(target * mean_power))

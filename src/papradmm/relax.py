@@ -20,8 +20,14 @@ from dataclasses import dataclass
 
 from . import dsp
 from .params import AdmmParams
-from .subproblems import _running_norm, c_update, uw_update, x_update
-from .sweep import row_norm, run_sweeps
+from .subproblems import c_update, uw_update, x_update
+from .sweep import row_norm, run_sweeps, running_norm
+
+# Slack of the descent check, relative to the size of the Lagrangian drop
+DESCENT_REL_TOL = 1e-8
+# Alternations of the feasible start, and its relative feasibility slack
+FEASIBLE_START_ROUNDS = 60
+FEASIBLE_START_REL_TOL = 1e-9
 
 
 @dataclass
@@ -63,24 +69,16 @@ def lambda_min_q(rho: float, rho_tilde: float) -> float:
     return min(rho / 2.0, (rho**2 + 2.0 * rho * rho_tilde - 8.0 * rho_tilde**2) / (2.0 * rho))
 
 
-def descent_check(
-    lagr_before,
-    lagr_after,
-    du_sq,
-    dw_sq,
-    rho: float,
-    rho_tilde: float,
-    rel_tol: float = 1e-8,
-):
+def descent_check(lagr_before, lagr_after, du_sq, dw_sq, rho: float, rho_tilde: float):
     """Check one sweep's sufficient-descent inequality.
 
     Returns ``(lhs, rhs, ok)`` with ``lhs`` the Lagrangian drop, ``rhs``
     the required margin ``lambda_min(Q) * (||du||^2 + ||dw||^2)``, and
-    ``ok = lhs >= rhs - rel_tol*(1 + |lhs|)``.
+    ``ok = lhs >= rhs - DESCENT_REL_TOL*(1 + |lhs|)``.
     """
     lhs = np.asarray(lagr_before, dtype=float) - np.asarray(lagr_after, dtype=float)
     rhs = lambda_min_q(rho, rho_tilde) * (np.asarray(du_sq) + np.asarray(dw_sq))
-    ok = lhs >= rhs - rel_tol * (1.0 + np.abs(lhs))
+    ok = lhs >= rhs - DESCENT_REL_TOL * (1.0 + np.abs(lhs))
     return lhs, rhs, ok
 
 
@@ -99,7 +97,7 @@ def relax_lagrangian(c, ac, x, u, w, y1, c_o, plan, rho, rho_tilde):
     """
     gap_u = ac - u
     gap_w = x - w
-    dist = _running_norm((c - c_o)[..., plan.data_idx]) ** 2
+    dist = running_norm((c - c_o)[..., plan.data_idx]) ** 2
     return (
         0.5 * dist
         + np.real(np.sum(np.conj(y1) * (gap_u - gap_w), axis=-1))
@@ -108,33 +106,28 @@ def relax_lagrangian(c, ac, x, u, w, y1, c_o, plan, rho, rho_tilde):
     )
 
 
-def feasible_start_state(
-    c_o,
-    plan: dsp.CarrierPlan,
-    params: AdmmParams,
-    oversample: int,
-    max_rounds: int = 60,
-    rel_tol: float = 1e-9,
-):
+def feasible_start_state(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int):
     """Build an initial pair with ``x1 = A c1`` inside both constraint sets.
 
     Alternates the PAPR projection with the band-limiting projection until
     the band-limited signal itself meets the PAPR target.  The projection
     runs against a slightly tightened target (0.1% inside ``alpha``) because
     the alternation approaches its limit from the infeasible side; the
-    tightening leaves a strictly feasible start.  Returns ``(c1, x1,
+    tightening leaves a strictly feasible start.  At most
+    ``FEASIBLE_START_ROUNDS`` alternations run.  Returns ``(c1, x1,
     feasible)`` where ``feasible`` flags symbols for which the construction
-    succeeded (PAPR and FCPO both satisfied up to ``rel_tol``); the others
-    are still returned but cannot back the feasible-start bound.
+    succeeded (PAPR and FCPO both satisfied up to a relative
+    ``FEASIBLE_START_REL_TOL``); the others are still returned but cannot
+    back the feasible-start bound.
     """
     c_o = np.atleast_2d(dsp._as_complex(c_o))
     alpha_inner = max(1.0, params.alpha * (1.0 - 1e-3))
     x = dsp.ifft_oversampled(c_o, oversample)
     settled = dsp.papr(x) <= params.alpha
-    for _ in range(max_rounds):
+    for _ in range(FEASIBLE_START_ROUNDS):
         if np.all(settled):
             break
-        proj = x_update(x, alpha_inner).x
+        proj = x_update(x, alpha_inner)
         x_new = dsp.ifft_oversampled(
             dsp.fft_oversampled(proj, oversample), oversample
         )
@@ -142,10 +135,10 @@ def feasible_start_state(
         settled = settled | (dsp.papr(x) <= params.alpha)
     c1 = dsp.fft_oversampled(x, oversample)
     x1 = dsp.ifft_oversampled(c1, oversample)
-    f_sq = _running_norm(c1[..., plan.free_idx]) ** 2
-    d_sq = _running_norm(c1[..., plan.data_idx]) ** 2
-    fcpo_ok = f_sq <= params.beta * d_sq * (1.0 + rel_tol) + 1e-30
-    papr_ok = dsp.papr(x1) <= params.alpha * (1.0 + rel_tol)
+    f_sq = running_norm(c1[..., plan.free_idx]) ** 2
+    d_sq = running_norm(c1[..., plan.data_idx]) ** 2
+    fcpo_ok = f_sq <= params.beta * d_sq * (1.0 + FEASIBLE_START_REL_TOL) + 1e-30
+    papr_ok = dsp.papr(x1) <= params.alpha * (1.0 + FEASIBLE_START_REL_TOL)
     return c1, x1, papr_ok & fcpo_ok
 
 
@@ -192,13 +185,13 @@ def relax_solve(
         else:
             # From c = c_o, A c is x_raw itself; the sweeps never write into ac.
             c, ac = c_o.copy(), x_raw
-            x = x_update(x_raw, params.alpha).x
+            x = x_update(x_raw, params.alpha)
         # Starting with u = w keeps y1 = rho_tilde*(u - w) = 0 true at the very
         # first state, so the sufficient-descent margin provably covers every
         # sweep, the first one included.
         u = np.add(ac, x)
         np.multiply(0.5, u, out=u)
-        sd_dist = _running_norm((c - c_o)[..., plan.data_idx]) ** 2
+        sd_dist = running_norm((c - c_o)[..., plan.data_idx]) ** 2
         # relax_lagrangian's multiplier and tie terms are exact zeros here
         # (y1 = y2 = 0, u = w), and adding a zero to the nonnegative distance
         # term leaves it unchanged, so dropping them keeps every bit.
@@ -221,7 +214,7 @@ def relax_solve(
         cres = c_update(v, plan, params.beta, r)
         c = where_active(cres.c, s["c"])
         ac = dsp.ifft_oversampled(c, oversample)
-        x = where_active(x_update(np.add(w, b, out=b), params.alpha).x, s["x"])
+        x = where_active(x_update(np.add(w, b, out=b), params.alpha), s["x"])
         # free b and the old ac and x before uw_update's three arrays, the
         # peak of the sweep's working set
         del b
@@ -274,7 +267,7 @@ def relax_solve(
             identity_residual=certificate("ident"),
             consensus_gap=consensus_gap,
             sd_dist_initial=s["sd_dist_initial"],
-            sd_dist_final=_running_norm((sweeps.c - sweeps.c_o)[..., plan.data_idx]) ** 2,
+            sd_dist_final=running_norm((sweeps.c - sweeps.c_o)[..., plan.data_idx]) ** 2,
             uw_gap_final=row_norm(s["u"] - s["w"]) ** 2,
             u_final=s["u"],
             w_final=s["w"],

@@ -17,6 +17,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .dsp import CarrierPlan, DegenerateSymbolError, _as_complex
+from .sweep import running_norm
 
 
 @dataclass
@@ -30,31 +31,6 @@ class CUpdateResult:
 
     c: np.ndarray
     mu: np.ndarray
-
-
-@dataclass
-class XUpdateResult:
-    """PAPR projection output ``x = t*z`` with its scale ``t``.
-
-    ``degenerate`` flags rows whose input was identically zero; those rows
-    return ``x = 0`` (the unique minimizer even though ``z`` is not unique).
-    """
-
-    x: np.ndarray
-    t: np.ndarray
-    degenerate: np.ndarray
-
-
-def _running_norm(g):
-    """Row norms of a gathered array, summed over its columns in order.
-
-    numpy reduces a gathered batch of two or more rows in exactly this order,
-    but a single row pairwise; the explicit running sum keeps a symbol's
-    norms, and so its whole solve, the same in a batch of any size.
-    """
-    sq = np.conjugate(g)
-    np.multiply(sq, g, out=sq)
-    return np.sqrt(np.cumsum(sq.real, axis=-1)[..., -1])
 
 
 def c_update(v, plan: CarrierPlan, beta: float, r: float) -> CUpdateResult:
@@ -78,8 +54,8 @@ def c_update(v, plan: CarrierPlan, beta: float, r: float) -> CUpdateResult:
     # one gather per carrier set; each is divided in place into c below
     v_data = v[..., plan.data_idx]
     v_free = v[..., plan.free_idx]
-    d_norm = _running_norm(v_data)
-    f_norm = _running_norm(v_free)
+    d_norm = running_norm(v_data)
+    f_norm = running_norm(v_free)
     if np.any((d_norm == 0.0) & (f_norm == 0.0)):
         raise DegenerateSymbolError("c_update input is identically zero")
 
@@ -204,13 +180,15 @@ def z_projection(b, alpha: float):
     return z.reshape(b.shape), gamma.reshape(b.shape[:-1])
 
 
-def x_update(b, alpha: float) -> XUpdateResult:
+def x_update(b, alpha: float) -> np.ndarray:
     """Project ``b`` onto the PAPR-limited cone: ``x = t*z``, ``t = max(0, Re(z^H b))``.
 
-    The output satisfies ``papr(x) <= alpha`` up to rounding.  Off the
+    Returns ``x``, shaped like ``b``; it satisfies ``papr(x) <= alpha`` up
+    to rounding.  Since ``||z|| = 1``, the scale is ``t = ||x||``.  Off the
     saturated rows ``z = b/den`` with a real ``den``, so ``t`` is formed as
     ``sum(|b|^2/den)`` and ``x`` as ``b*(t/den)`` without forming ``z``.
-    All-zero rows of ``b`` are flagged degenerate and mapped to ``x = 0``.
+    All-zero rows of ``b`` map to ``x = 0``, the unique minimizer although
+    ``z`` is not unique there.
     """
     b = _as_complex(b)
     flat, mag, n_nonzero = _magnitudes(b, alpha)
@@ -220,14 +198,9 @@ def x_update(b, alpha: float) -> XUpdateResult:
     x = flat * np.multiply(t[:, None], scale, out=scale)
     if sat.size:
         z = _saturated_direction(flat[sat], n_nonzero[sat], alpha)
-        t[sat] = np.maximum(0.0, np.real(np.sum(np.conj(z) * flat[sat], axis=-1)))
-        x[sat] = t[sat, None] * z
-    shape = b.shape[:-1]
-    return XUpdateResult(
-        x=x.reshape(b.shape),
-        t=t.reshape(shape),
-        degenerate=(n_nonzero == 0).reshape(shape),
-    )
+        t_sat = np.maximum(0.0, np.real(np.sum(np.conj(z) * flat[sat], axis=-1)))
+        x[sat] = t_sat[:, None] * z
+    return x.reshape(b.shape)
 
 
 def uw_update(x, ac, y1, rho: float, rho_tilde: float):

@@ -21,6 +21,20 @@ def row_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(sq.real, axis=-1))
 
 
+def running_norm(g):
+    """Row norms of a gathered array, summed over its columns in order.
+
+    A gather such as ``a[..., plan.data_idx]`` lays a batch of two or more
+    rows out column by column, so :func:`row_norm` sums it in column order,
+    but a single row pairwise.  The explicit running sum has the batch's
+    values to the bit for any number of rows, so a norm of gathered carriers
+    does not depend on the batch its symbol is in.
+    """
+    sq = np.conjugate(g)
+    np.multiply(sq, g, out=sq)
+    return np.sqrt(np.cumsum(sq.real, axis=-1)[..., -1])
+
+
 @dataclass
 class Sweeps:
     """Outcome of :func:`run_sweeps`, always on a 2-D batch.

@@ -12,6 +12,7 @@ from papradmm import (
     map_bits,
     papr,
 )
+from papradmm.direct import augmented_lagrangian
 
 ALPHA = 10 ** 0.4
 PLAN = CarrierPlan.default(64, 12)
@@ -296,3 +297,24 @@ class TestKktResidual:
             mu=report.mu_final,
         )
         assert np.all(perturbed > 10 * run_kkt_residual(c_o, params, x, c, report))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.15, 0.3])
+def test_diagnostics_of_a_row_do_not_depend_on_its_batch(beta):
+    # 200 stock-sized rows after 5 sweeps: each row's KKT residual and
+    # augmented Lagrangian, evaluated alone, carry the same bits as in the batch
+    c_o = random_symbols(np.random.default_rng(23), 200)
+    params = AdmmParams(alpha=ALPHA, beta=beta, rho=100.0, max_iters=5)
+    x, c, report = direct_solve(c_o, PLAN, params, 4)
+    y, mu = report.y_final, report.mu_final
+    ac = ifft_oversampled(c, 4)
+    kkt = direct_kkt_residual(c_o, PLAN, params, 4, c, x, y, mu)
+    lagr = augmented_lagrangian(c, ac, x, y, c_o, PLAN, params.rho)
+    for i in range(len(c_o)):
+        row = slice(i, i + 1)
+        kkt_alone = direct_kkt_residual(
+            c_o[row], PLAN, params, 4, c[row], x[row], y[row], mu[row]
+        )
+        assert kkt_alone[0] == kkt[i], i
+        lagr_alone = augmented_lagrangian(c[i], ac[i], x[i], y[i], c_o[i], PLAN, params.rho)
+        assert lagr_alone == lagr[i], i

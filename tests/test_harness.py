@@ -388,8 +388,9 @@ class TestBerDriver:
             n_symbols=400, constellation="qpsk", pa_enabled=False,
             ebn0_db="4,6", seed=5,
         )
-        rows = experiments.run_ber(cfg, solvers=("none",))
-        for _, _, ebn0, value, bits in rows[1:]:
+        rows = [row for row in experiments.run_ber(cfg)[1:] if row[0] == "none"]
+        assert len(rows) == len(cfg.ebn0_db)
+        for _, _, ebn0, value, bits in rows:
             p = 0.5 * special.erfc(np.sqrt(10 ** (ebn0 / 10.0)))
             sigma = np.sqrt(p * (1 - p) / bits)
             assert abs(value - p) < 3.0 * sigma
@@ -491,8 +492,8 @@ class TestBerLinkStage:
             n_symbols=300, iterations=2, ebn0_db="4,8,12", channel="multipath"
         )
         block_rows = experiments.BLOCK_SAMPLES // (cfg.oversample * cfg.n_carriers)
-        solvers = ("none", "direct", "relax", "rcf")
-        experiments.run_ber(cfg, solvers=solvers)
+        solvers = experiments.SOLVERS
+        experiments.run_ber(cfg)
         # one bit stream per symbol, then one noise stream per (symbol, Eb/N0),
         # each seeded exactly once
         assert len(streams) == len(set(streams)) == cfg.n_symbols * (1 + len(cfg.ebn0_db))
@@ -500,6 +501,24 @@ class TestBerLinkStage:
         assert len(channel_rows) > len(solvers) and max(channel_rows) <= block_rows
         for k in range(len(solvers)):
             assert sum(channel_rows[k :: len(solvers)]) == cfg.n_symbols, solvers[k]
+
+
+@pytest.mark.parametrize("driver", ["run_table2", "run_ccdf", "run_psd"])
+def test_driver_rows_independent_of_workers(driver):
+    # 300 symbols: three row blocks on one thread, four on two
+    cfg = ExperimentConfig().with_overrides(n_symbols=300, iterations=2)
+    assert 2 * experiments.BLOCK_SAMPLES < 300 * cfg.oversample * cfg.n_carriers
+    run = getattr(experiments, driver)
+    assert run(cfg.with_overrides(workers=2)) == run(cfg.with_overrides(workers=1))
+
+
+def test_psd_curves_peak_at_zero_db():
+    cfg = ExperimentConfig().with_overrides(n_symbols=8, iterations=2)
+    rows = experiments.run_psd(cfg)
+    peaks = {}
+    for label, _, psd_db in rows[1:]:
+        peaks[label] = max(peaks.get(label, -np.inf), psd_db)
+    assert peaks == {"original": 0.0, "direct": 0.0, "relax": 0.0, "rcf": 0.0}
 
 
 def test_drivers_skip_per_sweep_lagrangians(monkeypatch):

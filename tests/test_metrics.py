@@ -51,7 +51,7 @@ class TestCcdf:
 def ber(tx_bits, rx_bits) -> float:
     acc = MetricAccumulator()
     acc.add_bits(tx_bits, rx_bits)
-    return acc.ber_value
+    return acc.bit_errors / np.size(tx_bits)
 
 
 class TestBer:
@@ -63,8 +63,12 @@ class TestBer:
         flipped = big.copy()
         flipped[1234] = 1
         assert ber(big, flipped) == pytest.approx(1e-4)
-        with pytest.raises(ValueError):
-            MetricAccumulator().ber_value
+
+    def test_errors_add_up_over_calls(self):
+        acc = MetricAccumulator()
+        acc.add_bits([0, 1, 1, 0], [1, 1, 0, 0])
+        acc.add_bits(np.zeros((2, 3)), np.ones((2, 3)))
+        assert acc.bit_errors == 8
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -72,17 +76,11 @@ class TestBer:
 
 
 class TestPsd:
-    def test_parseval_with_rectangular_window(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=4096) + 1j * rng.normal(size=4096)
-        freqs, pxx = psd(x, seg_len=256, window="boxcar", overlap=0.0)
-        total = pxx.sum() / 256.0  # bin width is fs/seg_len with fs = 1
-        assert total == pytest.approx(np.mean(np.abs(x) ** 2), rel=1e-6)
-
     def test_in_band_tone_floor(self):
         n = 8192
         tone = np.exp(2j * np.pi * 0.125 * np.arange(n))
-        freqs, pxx = psd(tone, seg_len=512, window="hann", normalize_peak=True)
+        freqs, pxx = psd(tone, seg_len=512)
+        pxx = pxx / pxx.max()
         peak_bin = np.argmax(pxx)
         assert freqs[peak_bin] == pytest.approx(0.125, abs=1.0 / 512)
         far = np.abs(freqs - 0.125) > 0.1
@@ -92,21 +90,15 @@ class TestPsd:
         with pytest.raises(ValueError):
             psd(np.ones(100), seg_len=256)
 
-    def test_unknown_window_rejected(self):
-        with pytest.raises(ValueError):
-            psd(np.ones(1024), seg_len=256, window="hamming")
-
-    @pytest.mark.parametrize("window", ["hann", "boxcar"])
-    @pytest.mark.parametrize("overlap", [0.0, 0.5])
     @pytest.mark.parametrize("seg_len", [256, 1024])
-    def test_matches_scipy_welch(self, window, overlap, seg_len):
+    def test_matches_scipy_welch(self, seg_len):
+        # the fixed estimator: periodic Hann window, half overlap, unit rate
         rng = np.random.default_rng(2)
         x = rng.normal(size=10_000) + 1j * rng.normal(size=10_000)
-        fs = 3.0
-        freqs, pxx = psd(x, seg_len=seg_len, window=window, overlap=overlap, fs=fs)
+        freqs, pxx = psd(x, seg_len=seg_len)
         ref_f, ref_p = signal.welch(
-            x, fs=fs, window=window, nperseg=seg_len,
-            noverlap=int(overlap * seg_len), detrend=False,
+            x, fs=1.0, window="hann", nperseg=seg_len,
+            noverlap=seg_len // 2, detrend=False,
             return_onesided=False, scaling="density",
         )
         assert np.array_equal(freqs, np.fft.fftshift(ref_f))

@@ -9,7 +9,7 @@ from papradmm import (
     map_bits,
     papr_db,
 )
-from papradmm.rcf import RcfParams, clip, rcf
+from papradmm.rcf import clip, rcf
 
 PLAN = CarrierPlan.default(64, 12)
 
@@ -22,7 +22,7 @@ def random_symbols(rng, count):
 def test_low_papr_input_passes_through():
     c_o = np.zeros(64, dtype=complex)
     c_o[PLAN.data_idx[0]] = 1.0  # constant modulus in time
-    out = rcf(c_o, PLAN, RcfParams(4.0, 10), 4)
+    out = rcf(c_o, PLAN, 4.0, 4)
     assert np.abs(out - ifft_oversampled(c_o, 4)).max() < 1e-12
 
 
@@ -46,7 +46,7 @@ def test_clip_preserves_phase():
 def test_free_carriers_stay_zero_and_energy_drops():
     rng = np.random.default_rng(2)
     c_o = random_symbols(rng, 20)
-    x = rcf(c_o, PLAN, RcfParams(4.0, 10), 4)
+    x = rcf(c_o, PLAN, 4.0, 4)
     c_out = fft_oversampled(x, 4)
     assert np.abs(c_out[:, PLAN.free_idx]).max() < 1e-12
     energy_in = np.linalg.norm(c_o, axis=-1) ** 2
@@ -58,13 +58,13 @@ def test_papr_reduced_toward_target():
     rng = np.random.default_rng(3)
     c_o = random_symbols(rng, 100)
     before = papr_db(ifft_oversampled(c_o, 4))
-    after = papr_db(rcf(c_o, PLAN, RcfParams(4.0, 10), 4))
+    after = papr_db(rcf(c_o, PLAN, 4.0, 4))
     assert np.median(after) < np.median(before) - 2.5
     assert np.median(after) < 4.5  # near, if not exactly at, the 4 dB target
 
 
 def test_param_validation():
-    with pytest.raises(ValueError):
-        RcfParams(4.0, 0)
-    with pytest.raises(ValueError):
-        RcfParams(-1.0, 10)
+    c_o = random_symbols(np.random.default_rng(4), 2)
+    for target_db in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            rcf(c_o, PLAN, target_db, 4)
