@@ -241,11 +241,21 @@ def demap_bits(c, const: Constellation, plan: CarrierPlan) -> np.ndarray:
     """Minimum-distance hard decision on the data carriers, one rail at a time.
 
     On a product grid the nearest point pairs the nearest real level with
-    the nearest imaginary level.  A sample exactly on a decision boundary
-    takes the lower level; either neighbour is at the minimum distance.
+    the nearest imaginary level.  A rail's level index is the number of
+    thresholds (``re_bounds``/``im_bounds``: 1 for QPSK, 3 for 16-QAM) that
+    the sample lies strictly above, which equals
+    ``np.searchsorted(bounds, v)`` for every finite ``v``.  A sample exactly
+    on a threshold therefore takes the lower level; either neighbour is at
+    the minimum distance.
     """
     data = _as_complex(c)[..., plan.data_idx]
-    re = np.searchsorted(const.re_bounds, data.real)
-    im = np.searchsorted(const.im_bounds, data.imag)
-    bits = const.grid_bits[re, im]
-    return bits.reshape(bits.shape[:-2] + (plan.n_data * const.bits_per_symbol,))
+    k = const.bits_per_symbol
+    # flat grid index: real level * (number of imaginary levels) + imaginary level
+    idx = np.zeros(data.shape, dtype=np.intp)
+    for bound in const.re_bounds:
+        idx += data.real > bound
+    idx *= const.im_bounds.size + 1
+    for bound in const.im_bounds:
+        idx += data.imag > bound
+    bits = np.take(const.grid_bits.reshape(-1, k), idx, axis=0)
+    return bits.reshape(bits.shape[:-2] + (plan.n_data * k,))

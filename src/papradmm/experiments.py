@@ -354,11 +354,17 @@ def run_ber(cfg: ExperimentConfig):
 
     Each solver solves the whole batch once.  Eb and the amplifier's
     saturation amplitude are means over that batch.  The link stage then
-    runs in the row blocks of :func:`solve_batch`, on its threads: a block
-    amplifies its rows and sends them through the channel once per solver,
-    draws each Eb/N0 point's unit noise once (one stream per symbol) for
-    every solver, each scaling it to its own noise variance, and counts bit
-    errors.  The integer counts of the blocks add up to the same totals for
+    runs in the row blocks of :func:`solve_batch`, on its threads, and works
+    on the carriers.  The FFT and the one-tap equalizer are linear, so the
+    equalized spectrum of ``clean + s * unit`` is
+    ``F(clean)/H + s * F(unit)/H``.  A block therefore amplifies its rows
+    and sends them through the channel once per solver, and transforms and
+    equalizes each solver's clean rows once.  For each Eb/N0 point it draws
+    the unit noise once (one stream per symbol) and transforms and
+    equalizes it once.  Every solver's received spectrum is then one
+    broadcast ``clean + s_k * noise``, with ``s_k`` that solver's noise
+    scale, and one :func:`dsp.demap_bits` call decides all solvers' rows.
+    The integer error counts of the blocks add up to the same totals for
     any block layout.  Rows come out solver by solver, each over the Eb/N0
     grid.
     """
@@ -368,8 +374,8 @@ def run_ber(cfg: ExperimentConfig):
     h = multipath_impulse_response(cfg.oversample * NATIVE_BANDWIDTH_HZ)
     resp = channel_frequency_response(h, n_samples, cfg.n_carriers)
     sent = []  # (solved batch, SSPA saturation amplitude or None) per solver
-    scales = []  # per solver, sqrt(var / 2) of each Eb/N0 point
-    for solver in SOLVERS:
+    scales = np.empty((len(SOLVERS), len(cfg.ebn0_db)))  # sqrt(var / 2) per Eb/N0 point
+    for k, solver in enumerate(SOLVERS):
         x_clean, _ = solve_batch(cfg, solver, c_o, plan)
         c_tx = dsp.fft_oversampled(x_clean, cfg.oversample)
         es_bar = float(np.mean(np.linalg.norm(c_tx, axis=-1) ** 2))
@@ -378,24 +384,30 @@ def run_ber(cfg: ExperimentConfig):
         if cfg.pa_enabled:
             a_sat = saturation_amplitude(x_clean)
         sent.append((x_clean, a_sat))
-        scales.append(
-            [np.sqrt(noise_variance_per_sample(e, eb, n_samples) / 2.0) for e in cfg.ebn0_db]
-        )
+        scales[k] = [
+            np.sqrt(noise_variance_per_sample(e, eb, n_samples) / 2.0) for e in cfg.ebn0_db
+        ]
+
+    def carriers(x):
+        c_hat = dsp.fft_oversampled(x, cfg.oversample)
+        return equalize_zero_forcing(c_hat, resp) if multipath else c_hat
 
     def link_block(lo, hi):
-        received = []
-        for x_clean, a_sat in sent:
+        n_rows = hi - lo
+        clean = np.empty((len(sent), n_rows, cfg.n_carriers), dtype=np.complex128)
+        for k, (x_clean, a_sat) in enumerate(sent):
             x_tx = x_clean[lo:hi] if a_sat is None else sspa(x_clean[lo:hi], a_sat=a_sat)
-            received.append(multipath_apply(x_tx, h) if multipath else x_tx)
+            clean[k] = carriers(multipath_apply(x_tx, h) if multipath else x_tx)
+        received = np.empty_like(clean)
         errors = np.zeros((len(SOLVERS), len(cfg.ebn0_db)), dtype=np.int64)
         for j, ebn0 in enumerate(cfg.ebn0_db):
-            unit = _unit_noise(cfg, (hi - lo, n_samples), int(round(ebn0 * 1000)), lo)
-            for k, clean in enumerate(received):
-                c_hat = dsp.fft_oversampled(clean + unit * scales[k][j], cfg.oversample)
-                if multipath:
-                    c_hat = equalize_zero_forcing(c_hat, resp)
+            noise = carriers(_unit_noise(cfg, (n_rows, n_samples), int(round(ebn0 * 1000)), lo))
+            np.multiply(scales[:, j, None, None], noise, out=received)
+            received += clean
+            decided = dsp.demap_bits(received.reshape(-1, cfg.n_carriers), const, plan)
+            for k, rx_bits in enumerate(decided.reshape(len(sent), n_rows, -1)):
                 acc = metrics.MetricAccumulator()
-                acc.add_bits(bits[lo:hi], dsp.demap_bits(c_hat, const, plan))
+                acc.add_bits(bits[lo:hi], rx_bits)
                 errors[k, j] = acc.bit_errors
         return errors
 
@@ -424,7 +436,10 @@ def _unit_noise(cfg, shape, ebn0_key, first_row=0) -> np.ndarray:
     rails = np.empty((n_rows, 2, n_samples))
     for out, rng in zip(rails, _streams(cfg.seed, first_row, first_row + n_rows, *stage)):
         rng.standard_normal(out=out)
-    return rails[:, 0] + 1j * rails[:, 1]
+    noise = np.empty(shape, dtype=np.complex128)
+    noise.real = rails[:, 0]
+    noise.imag = rails[:, 1]
+    return noise
 
 
 def run_psd(cfg: ExperimentConfig):

@@ -67,4 +67,4 @@ class MetricAccumulator:
         rx = np.asarray(rx_bits).ravel()
         if tx.shape != rx.shape:
             raise ValueError("bit streams differ in length")
-        self.bit_errors += int(np.sum(tx != rx))
+        self.bit_errors += int(np.count_nonzero(tx != rx))

@@ -19,7 +19,13 @@ from papradmm import (
 )
 
 from papradmm.config import ExperimentConfig
-from papradmm.experiments import _NOISE_STAGE, _unit_noise, rng_for
+from papradmm.experiments import (
+    _NEGATIVE_NOISE_STAGE,
+    _NOISE_STAGE,
+    _streams,
+    _unit_noise,
+    rng_for,
+)
 
 PLAN = CarrierPlan.default(64, 12)
 
@@ -88,6 +94,18 @@ class TestAwgn:
             block = rng_for(cfg.seed, i, _NOISE_STAGE, key).normal(scale=scale, size=(2, shape[1]))
             want[i] = block[0] + 1j * block[1]
         assert np.array_equal(_unit_noise(cfg, shape, key) * scale, want)
+
+    @pytest.mark.parametrize("key", [0, 6000, -2000])
+    def test_unit_noise_is_the_two_rails_as_one_complex_array(self, key):
+        # one block of rows 128..255, from the positive and the negative stage
+        cfg, lo, hi, n_samples = ExperimentConfig(seed=5), 128, 256, 256
+        stage = (_NOISE_STAGE, key) if key >= 0 else (_NEGATIVE_NOISE_STAGE, -key)
+        rails = np.empty((hi - lo, 2, n_samples))
+        for row, rng in zip(rails, _streams(cfg.seed, lo, hi, *stage)):
+            rng.standard_normal(out=row)
+        got = _unit_noise(cfg, (hi - lo, n_samples), key, lo)
+        assert got.dtype == np.complex128 and got.flags.c_contiguous
+        assert np.array_equal(got, rails[:, 0] + 1j * rails[:, 1])
 
     def test_qpsk_ber_matches_q_function(self):
         rng = np.random.default_rng(2)

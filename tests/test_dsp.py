@@ -304,6 +304,24 @@ class TestPerRailDemap:
         values += [complex(br, bi) for br in re_bounds for bi in im_bounds]
         assert assert_matches_oracle(values, const).all()
 
+    @pytest.mark.parametrize("name", ["qpsk", "16qam"])
+    def test_rail_decision_is_searchsorted_to_the_bit(self, name):
+        # each rail counts the thresholds it lies above; that must be the
+        # searchsorted index at and one ulp either side of every threshold
+        const = Constellation.from_name(name)
+        rail = [-10.0, -0.0, 0.0, 10.0]
+        for b in np.union1d(const.re_bounds, const.im_bounds):
+            rail += [np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf)]
+        re, im = (a.ravel() for a in np.meshgrid(rail, rail))
+        n = re.size
+        plan = CarrierPlan(n + 1, data_idx=np.arange(n), free_idx=[n])
+        c = np.zeros(n + 1, dtype=complex)
+        c.real[:n], c.imag[:n] = re, im  # keeps the sign of each zero
+        want = const.grid_bits[
+            np.searchsorted(const.re_bounds, re), np.searchsorted(const.im_bounds, im)
+        ]
+        assert np.array_equal(demap_bits(c, const, plan), want.ravel())
+
     def test_batch_shape_round_trip(self):
         const = Constellation.qam16()
         plan = CarrierPlan.default(64, 12)

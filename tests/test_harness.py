@@ -502,6 +502,55 @@ class TestBerLinkStage:
         for k in range(len(solvers)):
             assert sum(channel_rows[k :: len(solvers)]) == cfg.n_symbols, solvers[k]
 
+    def test_link_stage_transforms_once_per_solver_and_point(self, monkeypatch):
+        # the link stage is the row-block work that runs outside solve_batch
+        state = {"solving": 0, "in_blocks": 0}
+        fft_rows, demap_shapes = [], []
+        solve_batch, run_blocks = experiments.solve_batch, experiments._run_blocks
+        fft_oversampled, demap_bits = dsp.fft_oversampled, dsp.demap_bits
+
+        def in_link_stage():
+            return state["in_blocks"] and not state["solving"]
+
+        def recording_solve_batch(*args, **kwargs):
+            state["solving"] += 1
+            try:
+                return solve_batch(*args, **kwargs)
+            finally:
+                state["solving"] -= 1
+
+        def recording_run_blocks(*args, **kwargs):
+            state["in_blocks"] += 1
+            try:
+                return run_blocks(*args, **kwargs)
+            finally:
+                state["in_blocks"] -= 1
+
+        def recording_fft(x, oversample):
+            if in_link_stage():
+                fft_rows.append(len(x))
+            return fft_oversampled(x, oversample)
+
+        def recording_demap(c, const, plan):
+            if in_link_stage():
+                demap_shapes.append(np.shape(c))
+            return demap_bits(c, const, plan)
+
+        monkeypatch.setattr(experiments, "solve_batch", recording_solve_batch)
+        monkeypatch.setattr(experiments, "_run_blocks", recording_run_blocks)
+        monkeypatch.setattr(dsp, "fft_oversampled", recording_fft)
+        monkeypatch.setattr(dsp, "demap_bits", recording_demap)
+        cfg = ExperimentConfig().with_overrides(
+            n_symbols=300, iterations=2, ebn0_db="4,8,12", channel="multipath"
+        )
+        n_solvers, n_points = len(experiments.SOLVERS), len(cfg.ebn0_db)
+        experiments.run_ber(cfg)
+        # one transform per solver's clean rows and one per Eb/N0 point's noise
+        assert sum(fft_rows) == cfg.n_symbols * (n_solvers + n_points)
+        # every solver decided in one call per (block, point), on a 2-D batch
+        assert demap_shapes and all(len(shape) == 2 for shape in demap_shapes)
+        assert sum(shape[0] for shape in demap_shapes) == cfg.n_symbols * n_solvers * n_points
+
 
 @pytest.mark.parametrize("driver", ["run_table2", "run_ccdf", "run_psd"])
 def test_driver_rows_independent_of_workers(driver):
