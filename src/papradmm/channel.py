@@ -23,7 +23,8 @@ def saturation_amplitude(x) -> float:
 
     ``a_sat^2 = mean|x|^2 * 10**(SSPA_BACKOFF_DB/10)``.
     """
-    mean_power = float(np.mean(np.abs(x) ** 2))
+    power = np.abs(x)
+    mean_power = float(np.mean(np.square(power, out=power)))
     if mean_power == 0.0:
         raise dsp.DegenerateSymbolError("cannot back off from a silent batch")
     return float(np.sqrt(mean_power * 10.0 ** (SSPA_BACKOFF_DB / 10.0)))

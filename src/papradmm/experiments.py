@@ -240,7 +240,10 @@ def solve_batch(cfg: ExperimentConfig, solver: str, c_o, plan, beta=None):
     and written in place into preallocated ``x`` and ``c``.  Each symbol's
     solve does not depend on the other symbols in its block, so the result
     does not depend on ``cfg.workers`` or on where the block boundaries fall.
-    ``run_ber``'s link stage runs in the same blocks.
+    ``run_ber`` cuts its own row-block passes the same way, through
+    :func:`_run_blocks`: after each solve, a transmit pass over the returned
+    ``x``; after the last solve, the link stage over the stored carrier
+    spectra.
     """
     c_o = np.atleast_2d(c_o)
     n_rows, n_carriers = c_o.shape
@@ -352,60 +355,69 @@ def run_ber(cfg: ExperimentConfig):
     ideal cyclic prefix, so the channel is a circular convolution, and the
     known tap response is equalized away (perfect CSI).
 
-    Each solver solves the whole batch once.  Eb and the amplifier's
-    saturation amplitude are means over that batch.  The link stage then
-    runs in the row blocks of :func:`solve_batch`, on its threads, and works
-    on the carriers.  The FFT and the one-tap equalizer are linear, so the
-    equalized spectrum of ``clean + s * unit`` is
-    ``F(clean)/H + s * F(unit)/H``.  A block therefore amplifies its rows
-    and sends them through the channel once per solver, and transforms and
-    equalizes each solver's clean rows once.  For each Eb/N0 point it draws
-    the unit noise once (one stream per symbol) and transforms and
-    equalizes it once.  Every solver's received spectrum is then one
-    broadcast ``clean + s_k * noise``, with ``s_k`` that solver's noise
-    scale, and one :func:`dsp.demap_bits` call decides all solvers' rows.
-    The integer error counts of the blocks add up to the same totals for
-    any block layout.  Rows come out solver by solver, each over the Eb/N0
-    grid.
+    The solvers run one at a time, so only one time-domain batch ``x`` is
+    alive.  After a solver solves the whole batch, the amplifier's saturation
+    amplitude is the mean over that batch.  One pass over the row blocks of
+    :func:`solve_batch`, on its threads, then transmits the batch: a block
+    writes each row's carrier energy ``||F(x)||^2`` into ``es`` and its
+    amplified, channel-filtered and equalized noiseless spectrum into
+    ``clean[k]``.  ``x`` is then dropped and Eb is the mean of ``es``.  A
+    row's ``||F(x)||^2`` does not depend on the block it sits in, so Eb keeps
+    the bits of the mean over one whole-batch transform.
+
+    The link stage runs in the same row blocks and reads only ``clean``, the
+    ``(n_solvers, n_symbols, N)`` equalized spectra.  The FFT and the one-tap
+    equalizer are linear, so the equalized spectrum of ``clean + s * unit``
+    is ``F(clean)/H + s * F(unit)/H``.  For each Eb/N0 point a block draws
+    the unit noise once (one stream per symbol) and transforms and equalizes
+    it once.  Every solver's received spectrum is then one broadcast
+    ``clean + s_k * noise``, with ``s_k`` that solver's noise scale, and one
+    :func:`dsp.demap_bits` call decides all solvers' rows.  The integer error
+    counts of the blocks add up to the same totals for any block layout.
+    Rows come out solver by solver, each over the Eb/N0 grid.
     """
     plan, const, bits, c_o = _symbols(cfg, cfg.n_symbols)
+    n_solvers, n_points = len(SOLVERS), len(cfg.ebn0_db)
     n_samples = cfg.n_carriers * cfg.oversample
     multipath = cfg.channel == "multipath"
     h = multipath_impulse_response(cfg.oversample * NATIVE_BANDWIDTH_HZ)
     resp = channel_frequency_response(h, n_samples, cfg.n_carriers)
-    sent = []  # (solved batch, SSPA saturation amplitude or None) per solver
-    scales = np.empty((len(SOLVERS), len(cfg.ebn0_db)))  # sqrt(var / 2) per Eb/N0 point
-    for k, solver in enumerate(SOLVERS):
-        x_clean, _ = solve_batch(cfg, solver, c_o, plan)
-        c_tx = dsp.fft_oversampled(x_clean, cfg.oversample)
-        es_bar = float(np.mean(np.linalg.norm(c_tx, axis=-1) ** 2))
-        eb = es_bar / (plan.n_data * const.bits_per_symbol)
-        a_sat = None
-        if cfg.pa_enabled:
-            a_sat = saturation_amplitude(x_clean)
-        sent.append((x_clean, a_sat))
-        scales[k] = [
-            np.sqrt(noise_variance_per_sample(e, eb, n_samples) / 2.0) for e in cfg.ebn0_db
-        ]
 
     def carriers(x):
         c_hat = dsp.fft_oversampled(x, cfg.oversample)
         return equalize_zero_forcing(c_hat, resp) if multipath else c_hat
 
+    es = np.empty(cfg.n_symbols)  # ||F(x)||^2 per row of the current solver
+    clean = np.empty((n_solvers, cfg.n_symbols, cfg.n_carriers), dtype=np.complex128)
+    scales = np.empty((n_solvers, n_points))  # sqrt(var / 2) per Eb/N0 point
+    for k, solver in enumerate(SOLVERS):
+        x = solve_batch(cfg, solver, c_o, plan)[0]
+        a_sat = saturation_amplitude(x) if cfg.pa_enabled else None
+
+        def transmit_block(lo, hi):
+            x_tx = x[lo:hi]
+            es[lo:hi] = np.linalg.norm(dsp.fft_oversampled(x_tx, cfg.oversample), axis=-1) ** 2
+            if a_sat is not None:
+                x_tx = sspa(x_tx, a_sat=a_sat)
+            clean[k, lo:hi] = carriers(multipath_apply(x_tx, h) if multipath else x_tx)
+
+        _run_blocks(cfg, cfg.n_symbols, n_samples, transmit_block)
+        del x
+        eb = float(np.mean(es)) / (plan.n_data * const.bits_per_symbol)
+        scales[k] = [
+            np.sqrt(noise_variance_per_sample(e, eb, n_samples) / 2.0) for e in cfg.ebn0_db
+        ]
+
     def link_block(lo, hi):
         n_rows = hi - lo
-        clean = np.empty((len(sent), n_rows, cfg.n_carriers), dtype=np.complex128)
-        for k, (x_clean, a_sat) in enumerate(sent):
-            x_tx = x_clean[lo:hi] if a_sat is None else sspa(x_clean[lo:hi], a_sat=a_sat)
-            clean[k] = carriers(multipath_apply(x_tx, h) if multipath else x_tx)
-        received = np.empty_like(clean)
-        errors = np.zeros((len(SOLVERS), len(cfg.ebn0_db)), dtype=np.int64)
+        received = np.empty((n_solvers, n_rows, cfg.n_carriers), dtype=np.complex128)
+        errors = np.zeros((n_solvers, n_points), dtype=np.int64)
         for j, ebn0 in enumerate(cfg.ebn0_db):
             noise = carriers(_unit_noise(cfg, (n_rows, n_samples), int(round(ebn0 * 1000)), lo))
             np.multiply(scales[:, j, None, None], noise, out=received)
-            received += clean
+            received += clean[:, lo:hi]
             decided = dsp.demap_bits(received.reshape(-1, cfg.n_carriers), const, plan)
-            for k, rx_bits in enumerate(decided.reshape(len(sent), n_rows, -1)):
+            for k, rx_bits in enumerate(decided.reshape(n_solvers, n_rows, -1)):
                 acc = metrics.MetricAccumulator()
                 acc.add_bits(bits[lo:hi], rx_bits)
                 errors[k, j] = acc.bit_errors

@@ -18,6 +18,7 @@ from papradmm import (
     sspa,
 )
 
+from papradmm.channel import SSPA_BACKOFF_DB
 from papradmm.config import ExperimentConfig
 from papradmm.experiments import (
     _NEGATIVE_NOISE_STAGE,
@@ -69,6 +70,17 @@ class TestSspa:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(3, 256)) + 1j * rng.normal(size=(3, 256))
         assert np.array_equal(sspa(x), sspa(x, a_sat=saturation_amplitude(x)))
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 256), (1000, 256)])
+    def test_saturation_amplitude_keeps_the_bits_of_the_squared_abs(self, shape):
+        # squaring |x| in place gives the bits of the mean of |x| ** 2
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        want = float(np.sqrt(np.mean(np.abs(x) ** 2) * 10 ** (SSPA_BACKOFF_DB / 10)))
+        assert saturation_amplitude(x) == want
+        assert saturation_amplitude(x.real) == float(
+            np.sqrt(np.mean(np.abs(x.real) ** 2) * 10 ** (SSPA_BACKOFF_DB / 10))
+        )
 
 
 class TestAwgn:

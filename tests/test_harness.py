@@ -1,7 +1,9 @@
+import gc
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -475,19 +477,26 @@ class TestBerLinkStage:
         assert_ber_rows(cfg, BER_ERRORS_300[channel], 62400)
 
     def test_noise_drawn_once_per_symbol_and_channel_once_per_solver(self, monkeypatch):
-        streams, channel_rows = [], []
+        streams, channel_rows, solved = [], [], []
         seed_table, multipath_apply = experiments.seed_table, experiments.multipath_apply
+        solve_batch = experiments.solve_batch
 
         def recording_table(seed, lo, hi, *key):
             streams.extend((i, *key) for i in range(lo, hi))
             return seed_table(seed, lo, hi, *key)
 
         def recording_channel(x, h):
-            channel_rows.append(len(x))
+            # (the solver solved last, rows)
+            channel_rows.append((solved[-1], len(x)))
             return multipath_apply(x, h)
+
+        def recording_solve_batch(cfg, solver, *args, **kwargs):
+            solved.append(solver)
+            return solve_batch(cfg, solver, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "seed_table", recording_table)
         monkeypatch.setattr(experiments, "multipath_apply", recording_channel)
+        monkeypatch.setattr(experiments, "solve_batch", recording_solve_batch)
         cfg = ExperimentConfig().with_overrides(
             n_symbols=300, iterations=2, ebn0_db="4,8,12", channel="multipath"
         )
@@ -497,19 +506,25 @@ class TestBerLinkStage:
         # one bit stream per symbol, then one noise stream per (symbol, Eb/N0),
         # each seeded exactly once
         assert len(streams) == len(set(streams)) == cfg.n_symbols * (1 + len(cfg.ebn0_db))
-        # one worker: each block sends every solver's rows through in solver order
-        assert len(channel_rows) > len(solvers) and max(channel_rows) <= block_rows
-        for k in range(len(solvers)):
-            assert sum(channel_rows[k :: len(solvers)]) == cfg.n_symbols, solvers[k]
+        # solver-major: each solver's rows go through right after its solve,
+        # in blocks, and before the next solver's solve
+        assert solved == list(solvers)
+        order = [k for k, _ in channel_rows]
+        assert order == sorted(order, key=solvers.index)
+        assert max(rows for _, rows in channel_rows) <= block_rows
+        for solver in solvers:
+            rows = [rows for k, rows in channel_rows if k == solver]
+            assert len(rows) > 1 and sum(rows) == cfg.n_symbols, solver
 
     def test_link_stage_transforms_once_per_solver_and_point(self, monkeypatch):
-        # the link stage is the row-block work that runs outside solve_batch
+        # the row-block passes that run outside solve_batch: one transmit pass
+        # per solver, then the link stage
         state = {"solving": 0, "in_blocks": 0}
-        fft_rows, demap_shapes = [], []
+        passes, demap_shapes = [], []
         solve_batch, run_blocks = experiments.solve_batch, experiments._run_blocks
         fft_oversampled, demap_bits = dsp.fft_oversampled, dsp.demap_bits
 
-        def in_link_stage():
+        def in_pass():
             return state["in_blocks"] and not state["solving"]
 
         def recording_solve_batch(*args, **kwargs):
@@ -520,6 +535,8 @@ class TestBerLinkStage:
                 state["solving"] -= 1
 
         def recording_run_blocks(*args, **kwargs):
+            if not state["solving"]:
+                passes.append({"fft_rows": 0, "demap": []})
             state["in_blocks"] += 1
             try:
                 return run_blocks(*args, **kwargs)
@@ -527,13 +544,13 @@ class TestBerLinkStage:
                 state["in_blocks"] -= 1
 
         def recording_fft(x, oversample):
-            if in_link_stage():
-                fft_rows.append(len(x))
+            if in_pass():
+                passes[-1]["fft_rows"] += len(x)
             return fft_oversampled(x, oversample)
 
         def recording_demap(c, const, plan):
-            if in_link_stage():
-                demap_shapes.append(np.shape(c))
+            if in_pass():
+                passes[-1]["demap"].append(np.shape(c))
             return demap_bits(c, const, plan)
 
         monkeypatch.setattr(experiments, "solve_batch", recording_solve_batch)
@@ -545,11 +562,76 @@ class TestBerLinkStage:
         )
         n_solvers, n_points = len(experiments.SOLVERS), len(cfg.ebn0_db)
         experiments.run_ber(cfg)
-        # one transform per solver's clean rows and one per Eb/N0 point's noise
-        assert sum(fft_rows) == cfg.n_symbols * (n_solvers + n_points)
+        assert len(passes) == n_solvers + 1
+        *transmit, link = passes
+        # each solver's rows transformed twice, for Eb and for the clean spectrum
+        assert [p["fft_rows"] for p in transmit] == [2 * cfg.n_symbols] * n_solvers
+        assert not any(p["demap"] for p in transmit)
+        # the link stage transforms each Eb/N0 point's noise once
+        assert link["fft_rows"] == cfg.n_symbols * n_points
+        # as many rows as one whole-batch transform per solver for Eb plus a
+        # link stage that transformed each solver's clean rows and each point's noise
+        total = sum(p["fft_rows"] for p in passes)
+        assert total == cfg.n_symbols * n_solvers + cfg.n_symbols * (n_solvers + n_points)
         # every solver decided in one call per (block, point), on a 2-D batch
+        demap_shapes = link["demap"]
         assert demap_shapes and all(len(shape) == 2 for shape in demap_shapes)
         assert sum(shape[0] for shape in demap_shapes) == cfg.n_symbols * n_solvers * n_points
+
+    def test_one_time_domain_batch_alive(self, monkeypatch):
+        refs = []
+        solve_batch = experiments.solve_batch
+
+        def tracking_solve_batch(*args, **kwargs):
+            gc.collect()
+            # the previous solver's x is gone before the next solve starts
+            assert all(ref() is None for ref in refs), len(refs)
+            x, c = solve_batch(*args, **kwargs)
+            refs.append(weakref.ref(x))
+            return x, c
+
+        monkeypatch.setattr(experiments, "solve_batch", tracking_solve_batch)
+        cfg = ExperimentConfig().with_overrides(n_symbols=16, iterations=2, channel="multipath")
+        experiments.run_ber(cfg)
+        assert len(refs) == len(experiments.SOLVERS)
+
+    def test_traced_peak_bounded(self):
+        # 300 multipath symbols on one thread peaked at 9.54 MB while every
+        # solver's time-domain batch stayed alive through the link stage
+        cfg = ExperimentConfig().with_overrides(n_symbols=300, channel="multipath", workers=1)
+        experiments.run_ber(cfg.with_overrides(n_symbols=8))
+        tracemalloc.start()
+        try:
+            experiments.run_ber(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.2e6, peak
+
+    @pytest.mark.parametrize("block_rows", [1, 3, None])
+    def test_eb_keeps_the_whole_batch_bits(self, block_rows, monkeypatch):
+        cfg = ExperimentConfig().with_overrides(n_symbols=10, iterations=2, ebn0_db="8")
+        if block_rows is not None:
+            monkeypatch.setattr(
+                experiments, "BLOCK_SAMPLES", block_rows * cfg.oversample * cfg.n_carriers
+            )
+        ebs = []
+        noise_variance = experiments.noise_variance_per_sample
+
+        def recording(ebn0_db, eb, n_samples):
+            ebs.append(eb)
+            return noise_variance(ebn0_db, eb, n_samples)
+
+        monkeypatch.setattr(experiments, "noise_variance_per_sample", recording)
+        experiments.run_ber(cfg)
+        plan, const, _, c_o = experiments._symbols(cfg, cfg.n_symbols)
+        want = []
+        for solver in experiments.SOLVERS:
+            x, _ = experiments.solve_batch(cfg, solver, c_o, plan)
+            c_tx = dsp.fft_oversampled(x, cfg.oversample)
+            es_bar = float(np.mean(np.linalg.norm(c_tx, axis=-1) ** 2))
+            want.append(es_bar / (plan.n_data * const.bits_per_symbol))
+        assert ebs == want
 
 
 @pytest.mark.parametrize("driver", ["run_table2", "run_ccdf", "run_psd"])
