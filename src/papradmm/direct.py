@@ -1,13 +1,13 @@
 """Direct ADMM engine on the exact PAPR/FCPO model, with KKT diagnostics.
 
 One sweep alternates the carrier-domain update, the time-domain PAPR
-projection, and a dual ascent step on the coupling ``Ac = x``:
+projection, and a dual ascent step on the coupling ``Ac = x``, in the scaled
+form that carries ``ys = y/rho`` (Boyd et al., FnT ML 2011, sec. 3.1.1):
 
-    v  = c_o + (rho/n) * F(x - y/rho)          # F = truncated forward DFT
-    c' = c_update(v)
-    b  = F^-1(c') + y/rho
-    x' = x_update(b)
-    y' = y + rho * (F^-1(c') - x')
+    v   = c_o + (rho/n) * F(x - ys)            # F = truncated forward DFT
+    c'  = c_update(v)
+    x'  = x_update(F^-1(c') + ys)
+    ys' = ys + F^-1(c') - x'
 
 Symbols whose raw PAPR already meets the target are passed through untouched
 (see :mod:`papradmm.sweep` for the loop around the sweep).  Convergence of
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import dsp
 from .params import AdmmParams
 from .subproblems import c_update, x_update, z_projection
-from .sweep import row_norm, run_sweeps, running_norm
+from .sweep import row_norm, run_sweeps
 
 
 @dataclass
@@ -31,14 +31,14 @@ class DirectReport:
 
     Trace arrays have shape ``(n_iters, K)``; frozen (converged or bypassed)
     symbols repeat their last values with zero residuals.
-    ``change_residual`` is the squared step ``||dc||^2 + ||dx||^2`` of each
+    ``residual`` is the squared step ``||dc||^2 + ||dx||^2`` of each
     sweep, so ``converged`` at ``eps`` means steps of about ``sqrt(eps)``.
     """
 
     iterations: int
     bypassed: np.ndarray
     converged: np.ndarray
-    change_residual: np.ndarray
+    residual: np.ndarray
     y_final: np.ndarray
     mu_final: np.ndarray
 
@@ -50,7 +50,7 @@ def augmented_lagrangian(c, ac, x, y, c_o, plan, rho: float) -> np.ndarray:
     The engine itself does not evaluate it; its stop rule reads the step.
     """
     gap = ac - x
-    dist = running_norm((c - c_o)[..., plan.data_idx]) ** 2
+    dist = row_norm(np.take(c - c_o, plan.data_idx, axis=-1)) ** 2
     return (
         0.5 * dist
         + np.real(np.sum(np.conj(y) * gap, axis=-1))
@@ -82,34 +82,30 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
     """
     rho = params.rho
     r = rho / (plan.n_carriers * oversample)
-    # y * (1/rho) has the values of y / rho without a complex division
-    inv_rho = 1.0 / rho
 
     def start(c_o, x_raw):
         return {
             "c": c_o.copy(),
             "x": x_update(x_raw, params.alpha),
-            "y": np.zeros_like(x_raw),
+            "ys": np.zeros_like(x_raw),
             "mu": np.zeros(c_o.shape[0]),
         }
 
     def step(c_o, s, where_active):
-        c, x, y = s["c"], s["x"], s["y"]
-        y_scaled = np.multiply(y, inv_rho)
-        b = np.subtract(x, y_scaled)
+        c, x, ys = s["c"], s["x"], s["ys"]
+        b = np.subtract(x, ys)
         v = c_o + r * dsp.fft_oversampled(b, oversample)
         cres = c_update(v, plan, params.beta, r)
         c_new = where_active(cres.c, c)
         ac = dsp.ifft_oversampled(c_new, oversample)
-        x_new = where_active(x_update(np.add(ac, y_scaled, out=b), params.alpha), x)
-        # the dual step y + rho*(ac - x') is built in ac, and the x step in
-        # the old x, which no longer belongs to the state
+        x_new = where_active(x_update(np.add(ac, ys, out=b), params.alpha), x)
+        # the dual step ys + (ac - x') is built in ac, and the x step in the
+        # old x, which no longer belongs to the state
         np.subtract(ac, x_new, out=ac)
-        np.multiply(rho, ac, out=ac)
-        y_new = where_active(np.add(y, ac, out=ac), y)
+        ys_new = where_active(np.add(ys, ac, out=ac), ys)
         change = row_norm(c_new - c) ** 2 + row_norm(np.subtract(x_new, x, out=x)) ** 2
-        s.update(c=c_new, x=x_new, y=y_new, mu=where_active(cres.mu, s["mu"]))
-        return change, {}
+        s.update(c=c_new, x=x_new, ys=ys_new, mu=where_active(cres.mu, s["mu"]))
+        return change
 
     sweeps = run_sweeps(c_o, plan, params, oversample, start, step)
     return sweeps.result(
@@ -117,8 +113,8 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
             iterations=sweeps.iterations,
             bypassed=sweeps.bypassed,
             converged=sweeps.converged,
-            change_residual=sweeps.residual,
-            y_final=sweeps.state["y"],
+            residual=sweeps.residual,
+            y_final=rho * sweeps.state["ys"],
             mu_final=sweeps.state["mu"],
         )
     )
@@ -166,8 +162,8 @@ def direct_kkt_residual(
     if beta == 0.0:
         # Free carriers are pinned by an equality constraint whose multiplier
         # absorbs any gradient there; stationarity is checked on data bins.
-        grad_c = running_norm(diff[..., plan.data_idx])
-        slack = running_norm(c[..., plan.free_idx]) ** 2
+        grad_c = row_norm(np.take(diff, plan.data_idx, axis=-1))
+        slack = row_norm(np.take(c, plan.free_idx, axis=-1)) ** 2
         neg_mu = np.zeros_like(primal)
     else:
         grad = diff.copy()
@@ -179,8 +175,8 @@ def direct_kkt_residual(
             - 2.0 * (mu * beta)[:, None] * c[..., plan.data_idx]
         )
         grad_c = row_norm(grad)
-        f_sq = running_norm(c[..., plan.free_idx]) ** 2
-        d_sq = running_norm(c[..., plan.data_idx]) ** 2
+        f_sq = row_norm(np.take(c, plan.free_idx, axis=-1)) ** 2
+        d_sq = row_norm(np.take(c, plan.data_idx, axis=-1)) ** 2
         slack = np.abs(mu * (f_sq - beta * d_sq))
         neg_mu = np.maximum(0.0, -mu)
 

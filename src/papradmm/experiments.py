@@ -54,9 +54,9 @@ BENCH_BATCH = 64
 BENCH_REPEATS = 5
 # Time samples per solve_batch block (128 symbols at 64 carriers and L=4, or
 # 512 KB per complex array).  Both engines update their state in place, so
-# one block's working set peaks at about 5.9 MB for the relaxed engine and
-# 4.7 MB for the direct one (tracemalloc, 5 sweeps; tests/test_sweep.py pins
-# 6.2 and 5.11 MB).  That is below glibc's heap-trim threshold, twice the
+# one block's working set peaks at about 5.8 MB for the relaxed engine and
+# 4.3 MB for the direct one (tracemalloc, 5 sweeps; tests/test_sweep.py pins
+# 6.2 and 4.6 MB).  That is below glibc's heap-trim threshold, twice the
 # largest freed mmapped chunk (~8 MB once a 4 MB batch output is freed), so
 # block-sized arrays are reused from the allocator's free lists rather than
 # handed back to the OS and faulted in again, and the working set is per
@@ -305,14 +305,11 @@ def run_convergence(cfg: ExperimentConfig):
     plan, _, _, c_o = _symbols(cfg, min(cfg.n_symbols, 500))
     iters = max(cfg.iterations, 15)
     rows = [("solver", "iteration", "median_residual")]
-    params = admm_params(cfg, solver="direct", iterations=iters, eps=0.0)
-    _, _, rep = direct_solve(c_o, plan, params, cfg.oversample)
-    for k in range(rep.change_residual.shape[0]):
-        rows.append(("direct", k + 1, float(np.median(rep.change_residual[k]))))
-    rparams = admm_params(cfg, solver="relax", iterations=iters, eps=0.0)
-    _, _, rep = relax_solve(c_o, plan, rparams, cfg.oversample)
-    for k in range(rep.residual.shape[0]):
-        rows.append(("relax", k + 1, float(np.median(rep.residual[k]))))
+    for solver, solve in (("direct", direct_solve), ("relax", relax_solve)):
+        params = admm_params(cfg, solver=solver, iterations=iters, eps=0.0)
+        _, _, rep = solve(c_o, plan, params, cfg.oversample)
+        for k, residual in enumerate(rep.residual, start=1):
+            rows.append((solver, k, float(np.median(residual))))
     return rows
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import dsp
 from .params import AdmmParams
 from .subproblems import c_update, uw_update, x_update
-from .sweep import row_norm, run_sweeps, running_norm
+from .sweep import row_norm, run_sweeps
 
 # Slack of the descent check, relative to the size of the Lagrangian drop
 DESCENT_REL_TOL = 1e-8
@@ -97,7 +97,7 @@ def relax_lagrangian(c, ac, x, u, w, y1, c_o, plan, rho, rho_tilde):
     """
     gap_u = ac - u
     gap_w = x - w
-    dist = running_norm((c - c_o)[..., plan.data_idx]) ** 2
+    dist = row_norm(np.take(c - c_o, plan.data_idx, axis=-1)) ** 2
     return (
         0.5 * dist
         + np.real(np.sum(np.conj(y1) * (gap_u - gap_w), axis=-1))
@@ -135,8 +135,8 @@ def feasible_start_state(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversam
         settled = settled | (dsp.papr(x) <= params.alpha)
     c1 = dsp.fft_oversampled(x, oversample)
     x1 = dsp.ifft_oversampled(c1, oversample)
-    f_sq = running_norm(c1[..., plan.free_idx]) ** 2
-    d_sq = running_norm(c1[..., plan.data_idx]) ** 2
+    f_sq = row_norm(np.take(c1, plan.free_idx, axis=-1)) ** 2
+    d_sq = row_norm(np.take(c1, plan.data_idx, axis=-1)) ** 2
     fcpo_ok = f_sq <= params.beta * d_sq * (1.0 + FEASIBLE_START_REL_TOL) + 1e-30
     papr_ok = dsp.papr(x1) <= params.alpha * (1.0 + FEASIBLE_START_REL_TOL)
     return c1, x1, papr_ok & fcpo_ok
@@ -176,6 +176,7 @@ def relax_solve(
     r = rho / (plan.n_carriers * oversample)
     # y1/rho = (rho_tilde/rho)*(u - w)
     tie = rho_tilde / rho
+    certificates = {"lagr": [], "lhs": [], "rhs": [], "ident": []}
 
     def start(c_o, x_raw):
         feas = None
@@ -191,7 +192,7 @@ def relax_solve(
         # sweep, the first one included.
         u = np.add(ac, x)
         np.multiply(0.5, u, out=u)
-        sd_dist = running_norm((c - c_o)[..., plan.data_idx]) ** 2
+        sd_dist = row_norm(np.take(c - c_o, plan.data_idx, axis=-1)) ** 2
         # relax_lagrangian's multiplier and tie terms are exact zeros here
         # (y1 = y2 = 0, u = w), and adding a zero to the nonnegative distance
         # term leaves it unchanged, so dropping them keeps every bit.
@@ -228,7 +229,6 @@ def relax_solve(
         dw_sq = row_norm(np.subtract(w_new, w, out=w)) ** 2
         s.update(u=u_new, w=w_new)
 
-        trace = {}
         if certify:
             # the explicit dual steps from y1, which a stopped symbol skips
             y1_new = rho_tilde * (u_new - w_new)
@@ -239,15 +239,16 @@ def relax_solve(
                 c, ac, x, u_new, w_new, y1_new, c_o, plan, rho, rho_tilde
             )
             lhs, rhs, _ = descent_check(s["lagr"], lagr, du_sq, dw_sq, rho, rho_tilde)
-            trace.update(lagr=lagr, lhs=lhs, rhs=rhs, ident=ident)
+            for name, value in zip(certificates, (lagr, lhs, rhs, ident)):
+                certificates[name].append(value)
             s["lagr"] = lagr
-        return du_sq + dw_sq, trace
+        return du_sq + dw_sq
 
     sweeps = run_sweeps(c_o, plan, params, oversample, start, step)
     s = sweeps.state
 
     def certificate(name):
-        return sweeps.trace(name) if certify else None
+        return np.array(certificates[name]) if certify else None
 
     # A bypassed row transmits x_raw = A c_o, so its coupling gap is zero.
     consensus_gap = row_norm(s["ac"] - sweeps.x) ** 2
@@ -260,14 +261,14 @@ def relax_solve(
             residual=sweeps.residual,
             lagrangian_initial=s["lagr_initial"],
             lagrangian=(
-                np.array([s["lagr_initial"], *sweeps.trace("lagr")]) if certify else None
+                np.array([s["lagr_initial"], *certificates["lagr"]]) if certify else None
             ),
             descent_lhs=certificate("lhs"),
             descent_rhs=certificate("rhs"),
             identity_residual=certificate("ident"),
             consensus_gap=consensus_gap,
             sd_dist_initial=s["sd_dist_initial"],
-            sd_dist_final=running_norm((sweeps.c - sweeps.c_o)[..., plan.data_idx]) ** 2,
+            sd_dist_final=row_norm(np.take(sweeps.c - sweeps.c_o, plan.data_idx, axis=-1)) ** 2,
             uw_gap_final=row_norm(s["u"] - s["w"]) ** 2,
             u_final=s["u"],
             w_final=s["w"],

@@ -17,7 +17,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .dsp import CarrierPlan, DegenerateSymbolError, _as_complex
-from .sweep import running_norm
+from .sweep import row_norm
 
 
 @dataclass
@@ -52,10 +52,10 @@ def c_update(v, plan: CarrierPlan, beta: float, r: float) -> CUpdateResult:
     if r <= 0:
         raise ValueError(f"r must be > 0, got {r}")
     # one gather per carrier set; each is divided in place into c below
-    v_data = v[..., plan.data_idx]
-    v_free = v[..., plan.free_idx]
-    d_norm = running_norm(v_data)
-    f_norm = running_norm(v_free)
+    v_data = np.take(v, plan.data_idx, axis=-1)
+    v_free = np.take(v, plan.free_idx, axis=-1)
+    d_norm = row_norm(v_data)
+    f_norm = row_norm(v_free)
     if np.any((d_norm == 0.0) & (f_norm == 0.0)):
         raise DegenerateSymbolError("c_update input is identically zero")
 

@@ -5,7 +5,7 @@ step in closed form once per sweep; they differ only in how the coupling
 ``Ac = x`` is split.  :func:`run_sweeps` owns everything around that step:
 the input check, the single-symbol round trip, the bypass of symbols that
 already meet the PAPR target, the per-symbol stop, the freezing of stopped
-symbols and the stacking of per-sweep traces.
+symbols and the stacking of the per-sweep squared steps.
 """
 
 import numpy as np
@@ -15,24 +15,16 @@ from . import dsp
 
 
 def row_norm(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(a, axis=-1)`` to the bit, with one temporary, not two."""
+    """``np.linalg.norm(a, axis=-1)`` to the bit, with one temporary, not two.
+
+    A row's norm has the same bits alone as in any batch only if ``a`` is
+    C-contiguous: a fancy-index gather such as ``a[..., plan.data_idx]`` lays
+    two or more rows out column by column, so gather carrier sets with
+    ``np.take(a, plan.data_idx, axis=-1)``.
+    """
     sq = np.conjugate(a)
     np.multiply(sq, a, out=sq)
     return np.sqrt(np.add.reduce(sq.real, axis=-1))
-
-
-def running_norm(g):
-    """Row norms of a gathered array, summed over its columns in order.
-
-    A gather such as ``a[..., plan.data_idx]`` lays a batch of two or more
-    rows out column by column, so :func:`row_norm` sums it in column order,
-    but a single row pairwise.  The explicit running sum has the batch's
-    values to the bit for any number of rows, so a norm of gathered carriers
-    does not depend on the batch its symbol is in.
-    """
-    sq = np.conjugate(g)
-    np.multiply(sq, g, out=sq)
-    return np.sqrt(np.cumsum(sq.real, axis=-1)[..., -1])
 
 
 @dataclass
@@ -40,8 +32,7 @@ class Sweeps:
     """Outcome of :func:`run_sweeps`, always on a 2-D batch.
 
     ``x`` and ``c`` hold the raw signal and ``c_o`` on bypassed rows and the
-    final state everywhere else.  ``residual`` has shape ``(n_iters, K)``;
-    ``rows`` holds one entry per sweep whose step recorded a trace.
+    final state everywhere else.  ``residual`` has shape ``(n_iters, K)``.
     """
 
     c_o: np.ndarray
@@ -51,16 +42,11 @@ class Sweeps:
     bypassed: np.ndarray
     converged: np.ndarray
     residual: np.ndarray
-    rows: list
     single: bool
 
     @property
     def iterations(self) -> int:
         return len(self.residual)
-
-    def trace(self, name: str) -> np.ndarray:
-        """Per-sweep values of one trace entry, shape ``(n_iters, K)``."""
-        return np.array([row[name] for row in self.rows])
 
     def result(self, report):
         """``(x, c, report)`` with ``x`` and ``c`` shaped like the input."""
@@ -78,17 +64,16 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step)
     loop and any buffer the step reuses, must be the engine's own: it may not
     share memory with ``c_o``, ``x_raw`` or another state array.
     ``step(c_o, state, where_active)`` updates ``state`` in place and returns
-    ``(residual, trace)``: the squared step that the stop at ``params.eps``
-    compares, and a dict of per-symbol values to record for this sweep (empty
-    to record nothing).
+    the per-symbol squared step, which the stop at ``params.eps`` compares
+    and ``Sweeps.residual`` stacks.
     ``where_active(new, old)`` writes ``old`` into ``new`` in place on the
     symbols that have stopped (``np.copyto(new, old, where=stopped)``) and
     returns ``new``, so ``new`` must be an array the step owns, such as a
     kernel's fresh result or a state buffer it no longer needs.  The step
     applies it to every state array it updates, so a stopped symbol keeps its
-    state and traces its last values with a zero step.  While every symbol is
-    running it writes nothing.  On return ``x`` and ``c`` are the state's own
-    arrays, with the raw signal and ``c_o`` written into their bypassed rows.
+    state and records a zero step.  While every symbol is running it writes
+    nothing.  On return ``x`` and ``c`` are the state's own arrays, with the
+    raw signal and ``c_o`` written into their bypassed rows.
     """
     c_o = dsp._as_complex(c_o)
     single = c_o.ndim == 1
@@ -102,7 +87,7 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step)
     bypassed = dsp.papr(x_raw) <= params.alpha
     state = start(c_o, x_raw)
     done = bypassed.copy()
-    residuals, rows = [], []
+    residuals = []
 
     def where_active(new, old):
         if stopped is not None:
@@ -113,10 +98,8 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step)
         if np.all(done):
             break
         stopped = done if np.any(done) else None
-        residual, row = step(c_o, state, where_active)
+        residual = step(c_o, state, where_active)
         residuals.append(residual)
-        if row:
-            rows.append(row)
         done = done | (residual < params.eps)
 
     if bypassed.any():
@@ -130,6 +113,5 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step)
         bypassed=bypassed,
         converged=done,
         residual=np.array(residuals),
-        rows=rows,
         single=single,
     )

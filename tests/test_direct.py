@@ -175,9 +175,9 @@ class TestDirectSolve:
         c_o = random_symbols(rng, 10)
         params = AdmmParams(alpha=ALPHA, beta=0.15, rho=100.0, max_iters=60, eps=0.0)
         _, _, report = direct_solve(c_o, PLAN, params, 4)
-        assert np.all(np.isfinite(report.change_residual))
-        first = report.change_residual[0]
-        last = report.change_residual[-1]
+        assert np.all(np.isfinite(report.residual))
+        first = report.residual[0]
+        last = report.residual[-1]
         assert np.all(last < first)
 
     def test_stopped_row_keeps_state_of_run_capped_at_its_stop(self):
@@ -185,7 +185,7 @@ class TestDirectSolve:
         c_o = random_symbols(rng, 12)
         params = AdmmParams(alpha=ALPHA, beta=0.15, rho=100.0, max_iters=80, eps=1e-6)
         x, c, rep = direct_solve(c_o, PLAN, params, 4)
-        stop = (rep.change_residual < params.eps).argmax(axis=0) + 1
+        stop = (rep.residual < params.eps).argmax(axis=0) + 1
         rows = np.flatnonzero(rep.converged & ~rep.bypassed & (stop < rep.iterations))
         assert rows.size >= 2
         for i in rows[:3]:
@@ -195,7 +195,7 @@ class TestDirectSolve:
             assert np.array_equal(x[i], x_k[i]) and np.array_equal(c[i], c_k[i])
             assert np.array_equal(rep.y_final[i], rep_k.y_final[i])
             assert rep.mu_final[i] == rep_k.mu_final[i]
-            assert np.all(rep.change_residual[k:, i] == 0.0)
+            assert np.all(rep.residual[k:, i] == 0.0)
 
     def test_single_symbol_shape_round_trip(self):
         rng = np.random.default_rng(4)

@@ -1,9 +1,12 @@
-"""The package's public names, pinned.
+"""The package's public names and the engines' report fields, pinned.
 
-A change that adds or drops a public name must edit this list on purpose.
-``__all__`` holds every public name of the package namespace, so it lists
-the submodules that importing the package loads as well.
+A change that adds or drops a public name, or renames a report field, must
+edit these lists on purpose.  ``__all__`` holds every public name of the
+package namespace, so it lists the submodules that importing the package
+loads as well.
 """
+
+import dataclasses
 
 import papradmm
 
@@ -59,3 +62,32 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(papradmm.__all__) == PUBLIC_NAMES
+
+
+REPORT_FIELDS = {
+    "DirectReport": ["iterations", "bypassed", "converged", "residual", "y_final", "mu_final"],
+    "RelaxReport": [
+        "iterations",
+        "bypassed",
+        "converged",
+        "residual",
+        "lagrangian_initial",
+        "lagrangian",
+        "descent_lhs",
+        "descent_rhs",
+        "identity_residual",
+        "consensus_gap",
+        "sd_dist_initial",
+        "sd_dist_final",
+        "uw_gap_final",
+        "u_final",
+        "w_final",
+        "feasible_start",
+    ],
+}
+
+
+def test_report_fields_are_pinned():
+    for name, fields in REPORT_FIELDS.items():
+        report = getattr(papradmm, name)
+        assert [f.name for f in dataclasses.fields(report)] == fields, name

@@ -156,6 +156,19 @@ class TestCUpdate:
         with pytest.raises(DegenerateSymbolError):
             c_update(np.zeros(2), PLAN2, beta=0.5, r=1.0)
 
+    def test_rows_alone_match_the_batch_with_the_bound_active(self):
+        rng = np.random.default_rng(23)
+        plan = CarrierPlan.default(64, 12)
+        v = rng.normal(size=(9, 64)) + 1j * rng.normal(size=(9, 64))
+        v[::2, plan.free_idx] *= 0.01  # the bound is inactive on these rows
+        batch = c_update(v, plan, beta=0.15, r=0.4)
+        assert np.array_equal(batch.mu > 0, np.arange(9) % 2 == 1)
+        for i in range(9):
+            for row in (v[i : i + 1], v[i]):
+                alone = c_update(row, plan, 0.15, 0.4)
+                assert np.array_equal(np.atleast_2d(alone.c)[0], batch.c[i])
+                assert np.atleast_1d(alone.mu)[0] == batch.mu[i]
+
     def test_matches_numeric_oracle_on_random_instances(self):
         rng = np.random.default_rng(42)
         worst = 0.0

@@ -73,9 +73,8 @@ def final_state(engine, rep):
     return state
 
 
-def residual(engine, rep, n_rows):
-    r = rep.change_residual if engine == "direct" else rep.residual
-    return r.reshape(-1, n_rows)
+def residual(rep, n_rows):
+    return rep.residual.reshape(-1, n_rows)
 
 
 ENGINES = [
@@ -130,7 +129,7 @@ class TestOwnership:
             assert a.tobytes() == k.tobytes()
 
 
-@pytest.mark.parametrize("engine,limit_mb", [("relax", 6.2), ("direct", 5.11)])
+@pytest.mark.parametrize("engine,limit_mb", [("relax", 6.2), ("direct", 4.6)])
 def test_row_block_working_set(engine, limit_mb):
     # One stock row block (128 symbols x 256 samples, 512 KB per complex
     # array) at beta 0.15 and 5 sweeps.  Above glibc's ~8 MB trim threshold
@@ -171,7 +170,7 @@ def solved_alone(engine, certify, beta, row):
 def test_rows_solve_alone_as_in_any_batch(rows, engine_certify, beta):
     engine, certify = engine_certify
     x, c, rep = solve_loose(engine, POOL[rows], beta, certify)
-    batch_residual = residual(engine, rep, len(rows))
+    batch_residual = residual(rep, len(rows))
     batch_state = final_state(engine, rep)
     for i, row in enumerate(rows):
         x1, c1, rep1 = solved_alone(engine, certify, beta, row)
@@ -179,7 +178,7 @@ def test_rows_solve_alone_as_in_any_batch(rows, engine_certify, beta):
         assert rep.bypassed[i] == rep1.bypassed[0]
         assert rep.converged[i] == rep1.converged[0]
         # a row that stopped earlier than the batch records zero steps after
-        alone = residual(engine, rep1, 1)[:, 0]
+        alone = residual(rep1, 1)[:, 0]
         assert np.array_equal(batch_residual[: alone.size, i], alone)
         assert not batch_residual[alone.size :, i].any()
         for name, value in final_state(engine, rep1).items():
