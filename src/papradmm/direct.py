@@ -33,11 +33,16 @@ class DirectReport:
     symbols repeat their last values with zero residuals.
     ``residual`` is the squared step ``||dc||^2 + ||dx||^2`` of each
     sweep, so ``converged`` at ``eps`` means steps of about ``sqrt(eps)``.
+    ``fcpo_active`` flags the symbols whose FCPO multiplier ``mu`` was
+    positive in at least one of their sweeps (every symbol that sweeps, at
+    ``beta = 0``).  On an unflagged symbol the bound never bound, so it runs
+    the same sweeps, bit for bit, at any larger ``beta``.
     """
 
     iterations: int
     bypassed: np.ndarray
     converged: np.ndarray
+    fcpo_active: np.ndarray
     residual: np.ndarray
     y_final: np.ndarray
     mu_final: np.ndarray
@@ -89,6 +94,7 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
             "x": x_update(x_raw, params.alpha),
             "ys": np.zeros_like(x_raw),
             "mu": np.zeros(c_o.shape[0]),
+            "fcpo_active": np.zeros(c_o.shape[0], dtype=bool),
         }
 
     def step(c_o, s, where_active):
@@ -104,7 +110,10 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
         np.subtract(ac, x_new, out=ac)
         ys_new = where_active(np.add(ys, ac, out=ac), ys)
         change = row_norm(c_new - c) ** 2 + row_norm(np.subtract(x_new, x, out=x)) ** 2
-        s.update(c=c_new, x=x_new, ys=ys_new, mu=where_active(cres.mu, s["mu"]))
+        s.update(
+            c=c_new, x=x_new, ys=ys_new, mu=where_active(cres.mu, s["mu"]),
+            fcpo_active=where_active(s["fcpo_active"] | (cres.mu > 0), s["fcpo_active"]),
+        )
         return change
 
     sweeps = run_sweeps(c_o, plan, params, oversample, start, step)
@@ -113,6 +122,7 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
             iterations=sweeps.iterations,
             bypassed=sweeps.bypassed,
             converged=sweeps.converged,
+            fcpo_active=sweeps.state["fcpo_active"],
             residual=sweeps.residual,
             y_final=rho * sweeps.state["ys"],
             mu_final=sweeps.state["mu"],

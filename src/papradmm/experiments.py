@@ -41,7 +41,7 @@ _NEGATIVE_NOISE_STAGE = 2
 # Solvers of the ccdf, ber and psd drivers, in row order; "none" transmits
 # the raw signal
 SOLVERS = ("none", "direct", "relax", "rcf")
-# FCPO bounds of the table2 rows
+# FCPO bounds of the table2 rows, ascending: run_table2 walks them upward
 BETA_GRID = (0.0, 0.15, 0.3)
 # Tie penalties of the consensus-gap rows (rho = 3*rho_tilde)
 RHO_TILDE_GRID = (10.0, 30.0, 100.0, 300.0)
@@ -197,18 +197,19 @@ def admm_params(
 
 
 def _solve_chunk(cfg, solver, c_o, plan, beta=None):
-    """(x, c) for one chunk; c is the solver's frequency-domain output."""
+    """(x, c, fcpo_active) for one chunk; c is the solver's frequency-domain output.
+
+    ``fcpo_active`` is the engine report's flag; ``none`` and ``rcf`` have no
+    FCPO bound and flag every row.
+    """
     if solver == "none":
-        return dsp.ifft_oversampled(c_o, cfg.oversample), c_o
+        return dsp.ifft_oversampled(c_o, cfg.oversample), c_o, np.ones(len(c_o), dtype=bool)
     if solver == "rcf":
         x = rcf(c_o, plan, cfg.alpha_db, cfg.oversample)
-        return x, dsp.fft_oversampled(x, cfg.oversample)
-    params = admm_params(cfg, solver=solver, beta=beta)
-    if solver == "direct":
-        x, c, _ = direct_solve(c_o, plan, params, cfg.oversample)
-    else:
-        x, c, _ = relax_solve(c_o, plan, params, cfg.oversample)
-    return x, c
+        return x, dsp.fft_oversampled(x, cfg.oversample), np.ones(len(c_o), dtype=bool)
+    solve = direct_solve if solver == "direct" else relax_solve
+    x, c, report = solve(c_o, plan, admm_params(cfg, solver=solver, beta=beta), cfg.oversample)
+    return x, c, report.fcpo_active
 
 
 def _run_blocks(cfg: ExperimentConfig, n_rows: int, row_samples: int, task) -> list:
@@ -218,8 +219,10 @@ def _run_blocks(cfg: ExperimentConfig, n_rows: int, row_samples: int, task) -> l
     equal blocks (to within one row) of at most ``BLOCK_SAMPLES`` samples,
     their count a multiple of the thread count.  Threads: ``cfg.workers``,
     but at most one per core and one per row; with one thread the blocks run
-    inline.
+    inline.  No rows make no blocks and run no task.
     """
+    if n_rows == 0:
+        return []
     threads = min(cfg.workers, os.cpu_count() or 1, n_rows)
     block_rows = max(1, BLOCK_SAMPLES // row_samples)
     n_blocks = -(-n_rows // block_rows)
@@ -236,10 +239,15 @@ def _run_blocks(cfg: ExperimentConfig, n_rows: int, row_samples: int, task) -> l
 def solve_batch(cfg: ExperimentConfig, solver: str, c_o, plan, beta=None):
     """Dispatch one symbol batch to a solver in fixed row blocks.
 
-    :func:`_run_blocks` cuts the batch, and every block is solved on its own
-    and written in place into preallocated ``x`` and ``c``.  Each symbol's
-    solve does not depend on the other symbols in its block, so the result
-    does not depend on ``cfg.workers`` or on where the block boundaries fall.
+    Returns ``(x, c, fcpo_active)``.  :func:`_run_blocks` cuts the batch, and
+    every block is solved on its own and written in place into preallocated
+    ``x``, ``c`` and ``fcpo_active``.  ``fcpo_active`` flags the rows whose
+    FCPO multiplier was positive in some sweep (the engines' report field of
+    that name); an unflagged row has the same bits at any larger ``beta``.
+    ``none`` and ``rcf`` flag every row.  Each symbol's solve does not depend
+    on the other symbols in its block, so the result does not depend on
+    ``cfg.workers``, on where the block boundaries fall or on which other
+    rows share the batch.  A batch of no rows returns arrays of no rows.
     ``run_ber`` cuts its own row-block passes the same way, through
     :func:`_run_blocks`: after each solve, a transmit pass over the returned
     ``x``; after the last solve, the link stage over the stored carrier
@@ -249,12 +257,15 @@ def solve_batch(cfg: ExperimentConfig, solver: str, c_o, plan, beta=None):
     n_rows, n_carriers = c_o.shape
     x = np.empty((n_rows, cfg.oversample * n_carriers), dtype=np.complex128)
     c = np.empty((n_rows, n_carriers), dtype=np.complex128)
+    fcpo_active = np.empty(n_rows, dtype=bool)
 
     def solve_block(lo, hi):
-        x[lo:hi], c[lo:hi] = _solve_chunk(cfg, solver, c_o[lo:hi], plan, beta)
+        x[lo:hi], c[lo:hi], fcpo_active[lo:hi] = _solve_chunk(
+            cfg, solver, c_o[lo:hi], plan, beta
+        )
 
     _run_blocks(cfg, n_rows, x.shape[1], solve_block)
-    return x, c
+    return x, c, fcpo_active
 
 
 def write_csv(path, rows):
@@ -276,12 +287,42 @@ def _format_cell(cell) -> str:
 
 
 def run_table2(cfg: ExperimentConfig):
-    """EVM of both engines over the beta grid (dB, 4 decimals)."""
+    """EVM of both engines over the beta grid (dB, 4 decimals).
+
+    Each engine walks ``BETA_GRID`` upward and, after the first beta,
+    re-solves only the rows whose FCPO bound was active at the previous beta
+    (``fcpo_active``); every other row keeps its ``c``, with the bits a full
+    solve would give it.  The reuse is exact:
+
+    * ``c_update``'s multiplier is ``max(0, ((1+r)*||v_F|| -
+      sqrt(beta)*r*||v_D||) / denom)``.  For the same ``v``, a larger beta
+      gives a numerator no larger, since ``sqrt`` and multiplication by a
+      positive number are monotone under rounding, so ``mu = 0`` at beta
+      gives ``mu = 0`` at any larger beta.
+    * With ``mu = 0`` the divisors are ``1 + r`` and ``r``, free of beta, so
+      ``c`` keeps its bits.  The projection, the dual step, the bypass test
+      and the stop rule read no beta, so by induction over the sweeps the
+      row's whole trajectory, its stop and its flag are the same.
+    * At beta = 0 the free carriers are pinned and ``mu = inf``: every row
+      that sweeps is flagged, so the next beta re-solves all of them.
+    * A row's solve does not depend on its batch (see :func:`solve_batch`),
+      so a re-solved subset gets the bits of the full batch.
+
+    When every row is flagged, the whole batch is solved as it stands, with
+    no gather and no scatter.
+    """
     plan, _, _, c_o = _symbols(cfg, cfg.n_symbols)
     rows = [("solver", "beta", "evm_db")]
     for solver in ("direct", "relax"):
+        c = fcpo_active = None
         for beta in BETA_GRID:
-            _, c = solve_batch(cfg, solver, c_o, plan, beta=beta)
+            if fcpo_active is None or fcpo_active.all():
+                _, c, fcpo_active = solve_batch(cfg, solver, c_o, plan, beta=beta)
+            else:
+                redo = np.flatnonzero(fcpo_active)
+                _, c[redo], fcpo_active[redo] = solve_batch(
+                    cfg, solver, c_o[redo], plan, beta=beta
+                )
             value = metrics.evm_db(c, c_o, plan)
             rows.append((solver, float(beta), round(value, 4)))
     return rows
@@ -292,7 +333,7 @@ def run_ccdf(cfg: ExperimentConfig):
     plan, _, _, c_o = _symbols(cfg, cfg.n_symbols)
     rows = [("solver", "threshold_db", "ccdf")]
     for solver in SOLVERS:
-        x, _ = solve_batch(cfg, solver, c_o, plan)
+        x = solve_batch(cfg, solver, c_o, plan)[0]
         curve = metrics.ccdf(dsp.papr_db(x), CCDF_THRESHOLDS_DB)
         label = "original" if solver == "none" else solver
         for t, p in zip(CCDF_THRESHOLDS_DB, curve):
@@ -463,7 +504,7 @@ def run_psd(cfg: ExperimentConfig):
     plan, _, _, c_o = _symbols(cfg, n_symbols)
     rows = [("solver", "freq_norm", "psd_db")]
     for solver in SOLVERS:
-        x, _ = solve_batch(cfg, solver, c_o, plan)
+        x = solve_batch(cfg, solver, c_o, plan)[0]
         if cfg.pa_enabled:
             x = sspa(x)
         freqs, pxx = metrics.psd(x.ravel(), seg_len=PSD_SEG_LEN)

@@ -44,11 +44,16 @@ class RelaxReport:
     ``(n_iters, K)``; ``u_final`` and ``w_final`` give the final multipliers.
     ``feasible_start`` flags symbols whose initial pair satisfied all
     constraints with ``Ac1 = x1`` (see :func:`feasible_start_state`).
+    ``fcpo_active`` flags the symbols whose FCPO multiplier was positive in
+    at least one of their sweeps (every symbol that sweeps, at ``beta = 0``);
+    as in :class:`~papradmm.direct.DirectReport`, an unflagged symbol runs
+    the same sweeps, bit for bit, at any larger ``beta``.
     """
 
     iterations: int
     bypassed: np.ndarray
     converged: np.ndarray
+    fcpo_active: np.ndarray
     residual: np.ndarray
     lagrangian_initial: np.ndarray
     lagrangian: np.ndarray | None
@@ -205,6 +210,7 @@ def relax_solve(
             "lagr_initial": lagr,
             "sd_dist_initial": sd_dist,
             "feasible_start": feas,
+            "fcpo_active": np.zeros(c_o.shape[0], dtype=bool),
         }
 
     def step(c_o, s, where_active):
@@ -214,6 +220,7 @@ def relax_solve(
         v = c_o + r * dsp.fft_oversampled(u - b, oversample)
         cres = c_update(v, plan, params.beta, r)
         c = where_active(cres.c, s["c"])
+        s["fcpo_active"] = where_active(s["fcpo_active"] | (cres.mu > 0), s["fcpo_active"])
         ac = dsp.ifft_oversampled(c, oversample)
         x = where_active(x_update(np.add(w, b, out=b), params.alpha), s["x"])
         # free b and the old ac and x before uw_update's three arrays, the
@@ -258,6 +265,7 @@ def relax_solve(
             iterations=sweeps.iterations,
             bypassed=sweeps.bypassed,
             converged=sweeps.converged,
+            fcpo_active=s["fcpo_active"],
             residual=sweeps.residual,
             lagrangian_initial=s["lagr_initial"],
             lagrangian=(

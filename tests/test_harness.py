@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from papradmm.cli import main
 from papradmm.config import ConfigError, ExperimentConfig
-from papradmm import dsp, experiments
+from papradmm import dsp, experiments, metrics
 from papradmm.direct import direct_solve
 from papradmm.relax import relax_solve
 
@@ -93,9 +93,11 @@ class TestDeterminism:
         c_o, plan = _batch(base, 64)
         threaded = base.with_overrides(workers=2)
         for solver in ("direct", "relax"):
-            x1, c1 = experiments.solve_batch(base, solver, c_o, plan)
-            x2, c2 = experiments.solve_batch(threaded, solver, c_o, plan)
-            assert np.array_equal(x1, x2) and np.array_equal(c1, c2), solver
+            for beta in experiments.BETA_GRID:
+                x1, c1, active1 = experiments.solve_batch(base, solver, c_o, plan, beta)
+                x2, c2, active2 = experiments.solve_batch(threaded, solver, c_o, plan, beta)
+                assert np.array_equal(x1, x2) and np.array_equal(c1, c2), (solver, beta)
+                assert np.array_equal(active1, active2), (solver, beta)
 
     def test_row_alone_matches_row_in_batch(self):
         cfg = ExperimentConfig()
@@ -152,7 +154,7 @@ class TestBlockedDispatch:
         c_o, plan = _batch(cfg, 300)
         block_rows = experiments.BLOCK_SAMPLES // (cfg.oversample * cfg.n_carriers)
         assert block_rows < 300  # so the batch spans several blocks
-        x_ref, c_ref = experiments._solve_chunk(cfg, solver, c_o, plan)
+        x_ref, c_ref, active_ref = experiments._solve_chunk(cfg, solver, c_o, plan)
         rows = []
         module, name = self.SOLVER_CALL[solver]
         original = getattr(module, name)
@@ -164,8 +166,11 @@ class TestBlockedDispatch:
         monkeypatch.setattr(module, name, recording)
         for workers in (1, 2):
             rows.clear()
-            x, c = experiments.solve_batch(cfg.with_overrides(workers=workers), solver, c_o, plan)
+            x, c, active = experiments.solve_batch(
+                cfg.with_overrides(workers=workers), solver, c_o, plan
+            )
             assert np.array_equal(x, x_ref) and np.array_equal(c, c_ref), workers
+            assert np.array_equal(active, active_ref), workers
             assert max(rows) <= block_rows and sum(rows) == 300, (workers, rows)
             if workers == 1:
                 # no view that pins a larger transform (rcf's c did)
@@ -178,7 +183,7 @@ class TestBlockedDispatch:
         for n_rows in (1024, 4096):
             tracemalloc.start()
             try:
-                x, c = experiments.solve_batch(cfg, "relax", c_o[:n_rows], plan)
+                x, c, _ = experiments.solve_batch(cfg, "relax", c_o[:n_rows], plan)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -207,9 +212,23 @@ class TestBlockedDispatch:
         cores = os.cpu_count()
         cfg = ExperimentConfig().with_overrides(workers=cores + 3)
         c_o, plan = _batch(cfg, 2 * cfg.workers)
-        x, _ = experiments.solve_batch(cfg, "none", c_o, plan)
+        x = experiments.solve_batch(cfg, "none", c_o, plan)[0]
         assert np.array_equal(x, dsp.ifft_oversampled(c_o, cfg.oversample))
         assert seen == ([cores] if cores > 1 else [])
+
+    @pytest.mark.parametrize("solver", sorted(SOLVER_CALL))
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_batch_solves_no_block(self, solver, workers, monkeypatch):
+        cfg = ExperimentConfig().with_overrides(workers=workers)
+        c_o, plan = _batch(cfg, 4)
+        calls = {name: 0 for name in ("_solve_chunk", "ThreadPoolExecutor")}
+        count_calls(monkeypatch, experiments, "_solve_chunk", calls)
+        count_calls(monkeypatch, experiments, "ThreadPoolExecutor", calls)
+        x, c, active = experiments.solve_batch(cfg, solver, c_o[:0], plan)
+        assert x.shape == (0, cfg.oversample * cfg.n_carriers) and x.dtype == complex
+        assert c.shape == (0, cfg.n_carriers) and c.dtype == complex
+        assert active.shape == (0,) and active.dtype == bool
+        assert calls == {"_solve_chunk": 0, "ThreadPoolExecutor": 0}
 
 
 class TestCli:
@@ -586,9 +605,9 @@ class TestBerLinkStage:
             gc.collect()
             # the previous solver's x is gone before the next solve starts
             assert all(ref() is None for ref in refs), len(refs)
-            x, c = solve_batch(*args, **kwargs)
+            x, c, active = solve_batch(*args, **kwargs)
             refs.append(weakref.ref(x))
-            return x, c
+            return x, c, active
 
         monkeypatch.setattr(experiments, "solve_batch", tracking_solve_batch)
         cfg = ExperimentConfig().with_overrides(n_symbols=16, iterations=2, channel="multipath")
@@ -627,7 +646,7 @@ class TestBerLinkStage:
         plan, const, _, c_o = experiments._symbols(cfg, cfg.n_symbols)
         want = []
         for solver in experiments.SOLVERS:
-            x, _ = experiments.solve_batch(cfg, solver, c_o, plan)
+            x = experiments.solve_batch(cfg, solver, c_o, plan)[0]
             c_tx = dsp.fft_oversampled(x, cfg.oversample)
             es_bar = float(np.mean(np.linalg.norm(c_tx, axis=-1) ** 2))
             want.append(es_bar / (plan.n_data * const.bits_per_symbol))
@@ -641,6 +660,46 @@ def test_driver_rows_independent_of_workers(driver):
     assert 2 * experiments.BLOCK_SAMPLES < 300 * cfg.oversample * cfg.n_carriers
     run = getattr(experiments, driver)
     assert run(cfg.with_overrides(workers=2)) == run(cfg.with_overrides(workers=1))
+
+
+def test_beta_grid_ascends():
+    # run_table2 reuses a row's solve at every larger beta
+    assert list(experiments.BETA_GRID) == sorted(set(experiments.BETA_GRID))
+
+
+@pytest.mark.parametrize("seed", [12345, 1])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_table2_evaluates_full_solves(seed, workers, monkeypatch):
+    # the c whose EVM each (engine, beta) row reports equals a full solve of
+    # the batch at that beta, bit for bit, though after the first beta only
+    # the rows flagged at the previous beta are solved again
+    cfg = ExperimentConfig().with_overrides(n_symbols=200, seed=seed, workers=workers)
+    evaluated, solved_rows = [], []
+    evm_db, solve_batch = metrics.evm_db, experiments.solve_batch
+
+    def recording_evm(c, c_o, plan):
+        evaluated.append(c.copy())  # the walk writes the next beta into c
+        return evm_db(c, c_o, plan)
+
+    def recording_solve_batch(cfg, solver, c_o, *args, **kwargs):
+        solved_rows.append(len(c_o))
+        return solve_batch(cfg, solver, c_o, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "evm_db", recording_evm)
+    monkeypatch.setattr(experiments, "solve_batch", recording_solve_batch)
+    rows = experiments.run_table2(cfg)
+    plan, _, _, c_o = experiments._symbols(cfg, cfg.n_symbols)
+    pairs = [(solver, beta) for solver in ("direct", "relax") for beta in experiments.BETA_GRID]
+    assert [row[:2] for row in rows[1:]] == pairs
+    assert len(evaluated) == len(solved_rows) == len(pairs)
+    flagged = None
+    for (solver, beta), c, n_rows in zip(pairs, evaluated, solved_rows):
+        _, want, active = solve_batch(cfg, solver, c_o, plan, beta=beta)
+        assert np.array_equal(c, want), (solver, beta)
+        assert n_rows == (cfg.n_symbols if beta == 0.0 else flagged), (solver, beta)
+        flagged = active.sum()
+    # the stock config binds on a few direct rows at beta 0.15
+    assert 0 < solved_rows[2] < cfg.n_symbols
 
 
 def test_psd_curves_peak_at_zero_db():
@@ -663,8 +722,8 @@ def test_drivers_skip_per_sweep_lagrangians(monkeypatch):
     count_calls(monkeypatch, experiments, "relax_solve", calls)
     cfg = ExperimentConfig().with_overrides(n_symbols=20, iterations=5)
     experiments.run_table2(cfg)
-    assert calls["relax_solve"] == len(experiments.BETA_GRID)
-    assert calls["relax_lagrangian"] <= calls["relax_solve"]
+    # at most once per beta: the walk re-solves only the rows flagged before
+    assert calls["relax_lagrangian"] <= calls["relax_solve"] <= len(experiments.BETA_GRID)
     assert calls["augmented_lagrangian"] == 0
 
 

@@ -65,11 +65,20 @@ def test_public_names_are_pinned():
 
 
 REPORT_FIELDS = {
-    "DirectReport": ["iterations", "bypassed", "converged", "residual", "y_final", "mu_final"],
+    "DirectReport": [
+        "iterations",
+        "bypassed",
+        "converged",
+        "fcpo_active",
+        "residual",
+        "y_final",
+        "mu_final",
+    ],
     "RelaxReport": [
         "iterations",
         "bypassed",
         "converged",
+        "fcpo_active",
         "residual",
         "lagrangian_initial",
         "lagrangian",

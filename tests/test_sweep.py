@@ -3,7 +3,9 @@
 The engines write their state in place, so these tests pin what that must
 never change: the caller's input, the independence of the returned arrays,
 the working set of one row block and the bits of every row, whatever batch
-it is solved in.
+it is solved in.  They also pin what the drivers rely on: a row whose FCPO
+bound never bound (``fcpo_active`` False) keeps its bits at a larger beta,
+and both engines commute with scaling and rotating the input.
 """
 
 import functools
@@ -187,3 +189,120 @@ def test_rows_solve_alone_as_in_any_batch(rows, engine_certify, beta):
     free = np.sum(np.abs(c[:, PLAN.free_idx]) ** 2, axis=-1)
     data = np.sum(np.abs(c[:, PLAN.data_idx]) ** 2, axis=-1)
     assert np.all(free <= beta * (1.0 + 1e-9) * data)
+
+
+@functools.lru_cache(maxsize=None)
+def solved_at(engine, certify, beta, rows):
+    return solve_loose(engine, POOL[list(rows)], beta, certify)
+
+
+def padded_trace(rep, i, n_sweeps):
+    """Row ``i``'s squared steps, with zeros after the batch's last sweep."""
+    trace = np.zeros(n_sweeps)
+    trace[: rep.iterations] = residual(rep, len(rep.bypassed))[:, i]
+    return trace
+
+
+@settings(deadline=None)
+@given(
+    rows=st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=12),
+    engine_certify=st.sampled_from([("direct", False), ("relax", False), ("relax", True)]),
+    betas=st.sampled_from([(0.0, 0.15), (0.0, 0.3), (0.15, 0.3)]),
+)
+def test_rows_the_bound_never_held_keep_their_bits_at_a_larger_beta(rows, engine_certify, betas):
+    # run_table2 keeps these rows' c when it steps up the beta grid
+    engine, certify = engine_certify
+    rows = tuple(rows)
+    x, c, rep = solved_at(engine, certify, betas[0], rows)
+    x2, c2, rep2 = solved_at(engine, certify, betas[1], rows)
+    if betas[0] == 0.0:
+        # the free carriers are pinned, so every row that sweeps is flagged
+        assert np.array_equal(rep.fcpo_active, ~rep.bypassed)
+    n_sweeps = max(rep.iterations, rep2.iterations)
+    state, state2 = final_state(engine, rep), final_state(engine, rep2)
+    for i in np.flatnonzero(~rep.fcpo_active):
+        assert np.array_equal(x[i], x2[i]) and np.array_equal(c[i], c2[i])
+        assert np.array_equal(padded_trace(rep, i, n_sweeps), padded_trace(rep2, i, n_sweeps))
+        assert rep.converged[i] == rep2.converged[i]
+        assert not rep2.fcpo_active[i]
+        for name, value in state.items():
+            assert np.array_equal(value[i], state2[name][i]), name
+
+
+# rows whose multiplier turns positive and back to zero within 20 direct
+# sweeps at beta 0.1, so that only the flag of an earlier sweep marks them
+FLIP_ROWS = random_symbols(np.random.default_rng(8), 400)[[79, 118, 355]]
+
+
+@pytest.mark.parametrize(
+    "engine,beta,rows,max_iters,eps",
+    [
+        *[(e, b, "pool", 8, LOOSE_EPS[e]) for e in ("direct", "relax") for b in (0.0, 0.15, 0.3)],
+        ("direct", 0.1, "flip_rows", 20, 0.0),
+    ],
+)
+def test_fcpo_active_flags_a_positive_multiplier_in_a_swept_step(
+    engine, beta, rows, max_iters, eps, monkeypatch
+):
+    # oracle: every c_update multiplier, on the rows still running that sweep
+    from papradmm import direct, relax
+
+    module = direct if engine == "direct" else relax
+    mus = []
+
+    def recording(*args, **kwargs):
+        result = c_update(*args, **kwargs)
+        mus.append(result.mu.copy())
+        return result
+
+    monkeypatch.setattr(module, "c_update", recording)
+    c_o = POOL if rows == "pool" else FLIP_ROWS
+    _, _, rep = solve(engine, c_o, beta=beta, max_iters=max_iters, eps=eps)
+    running = ~rep.bypassed
+    want = np.zeros(len(c_o), dtype=bool)
+    for mu, step in zip(mus, rep.residual):
+        want |= running & (mu > 0)
+        running &= step >= eps
+    assert len(mus) == rep.iterations
+    assert np.array_equal(rep.fcpo_active, want)
+    if (engine, beta) == ("direct", 0.15):
+        # a mix of flagged and unflagged rows, as on the stock config
+        assert 0 < want.sum() < (~rep.bypassed).sum()
+    if rows == "flip_rows":
+        assert np.all(want) and np.all(mus[-1] == 0)
+
+
+@functools.lru_cache(maxsize=None)
+def solved_fixed(engine, beta, scale=1.0):
+    return solve(engine, POOL * scale, beta=beta, eps=0.0)
+
+
+@settings(deadline=None)
+@given(
+    k=st.integers(-8, 8),
+    engine=st.sampled_from(["direct", "relax"]),
+    beta=st.sampled_from([0.0, 0.15]),
+)
+def test_scaling_by_a_power_of_two_scales_the_iterates_exactly(k, engine, beta):
+    # every operation of a sweep commutes with an exact power-of-two scale
+    x, c, rep = solved_fixed(engine, beta)
+    xs, cs, reps = solved_fixed(engine, beta, 2.0**k)
+    assert np.array_equal(xs, x * 2.0**k) and np.array_equal(cs, c * 2.0**k)
+    assert np.array_equal(reps.residual, rep.residual * 4.0**k)
+    assert np.array_equal(reps.bypassed, rep.bypassed)
+    assert np.array_equal(reps.fcpo_active, rep.fcpo_active)
+
+
+@settings(deadline=None)
+@given(
+    phase=st.floats(-np.pi, np.pi),
+    engine=st.sampled_from(["direct", "relax"]),
+    beta=st.sampled_from([0.0, 0.15]),
+)
+def test_a_phase_rotation_rotates_the_iterates(phase, engine, beta):
+    turn = np.exp(1j * phase)
+    x, c, _ = solved_fixed(engine, beta)
+    xr, cr, _ = solved_fixed(engine, beta, turn)
+    for got, want in ((xr, x * turn), (cr, c * turn)):
+        error = np.linalg.norm(got - want, axis=-1)
+        assert np.all(error <= 1e-12 * np.linalg.norm(want, axis=-1))
