@@ -4,8 +4,9 @@ The amplifier and the multipath channel are fixed models; their parameters
 are module constants (``SSPA_*``, ``MULTIPATH_*``), not arguments.  Every
 function here works row by row on a symbol batch, given a batch-wide
 saturation amplitude, so ``experiments.run_ber`` applies them to one row
-block at a time.  The drivers add receiver noise themselves
-(``experiments._unit_noise``).
+block at a time.  Behind the ideal prefix, zero forcing cancels the
+channel on the signal, so ``run_ber`` equalizes only the receiver noise.
+The drivers add receiver noise themselves (``experiments._unit_noise``).
 """
 
 import numpy as np

@@ -19,6 +19,9 @@ from .channel import (
     NATIVE_BANDWIDTH_HZ,
     channel_frequency_response,
     equalize_zero_forcing,
+    # run_ber never sends the signal through the channel (see its docstring),
+    # but perfbench/tracing.py::TARGETS wraps the name in this module and
+    # tests/test_tracer_targets.py checks that binding
     multipath_apply,
     multipath_impulse_response,
     noise_variance_per_sample,
@@ -175,11 +178,23 @@ def _symbols(cfg: ExperimentConfig, n_symbols: int):
 
 
 def generate_bits(cfg: ExperimentConfig, n_symbols: int, const, plan) -> np.ndarray:
+    """Data bits of symbols ``0..n_symbols-1``, int8, one stream per symbol.
+
+    Row ``i`` is ``rng_for(cfg.seed, i, _BITS_STAGE).integers(0, 2,
+    size=n)``, ``n = plan.n_data * const.bits_per_symbol``, drawn without a
+    ``Generator``.  That call takes Lemire's bounded draw on PCG64's 32-bit
+    halves, low half first; for a range of 2 it never rejects and keeps the
+    top bit of each half.  So row ``i`` is bits 31 and 63 of each of the
+    stream's first ``ceil(n / 2)`` raw words, in that order (an odd ``n``
+    drops the last bit 63), and one ``random_raw`` call per row draws them.
+    """
     per_symbol = plan.n_data * const.bits_per_symbol
-    out = np.empty((n_symbols, per_symbol), dtype=np.int8)
-    for row, rng in zip(out, _streams(cfg.seed, 0, n_symbols, _BITS_STAGE)):
-        row[:] = rng.integers(0, 2, size=per_symbol)
-    return out
+    n_words = -(-per_symbol // 2)
+    raw = np.empty((n_symbols, n_words), dtype=np.uint64)
+    for row, words in zip(raw, seed_table(cfg.seed, 0, n_symbols, _BITS_STAGE)):
+        row[:] = np.random.PCG64(_SeedWords(words)).random_raw(n_words)
+    bits = (raw[:, :, None] >> np.array([31, 63], dtype=np.uint64)) & np.uint64(1)
+    return bits.reshape(n_symbols, 2 * n_words)[:, :per_symbol].astype(np.int8)
 
 
 def admm_params(
@@ -393,26 +408,33 @@ def run_ber(cfg: ExperimentConfig):
     ideal cyclic prefix, so the channel is a circular convolution, and the
     known tap response is equalized away (perfect CSI).
 
+    The channel acts on the noise alone.  Behind the ideal prefix it is one
+    gain ``H`` per carrier, so the received spectrum is ``H * F(s) + F(n)``
+    for a transmitted symbol ``s`` and noise ``n``, and perfect-CSI zero
+    forcing leaves ``F(s) + F(n) / H``.  The noiseless spectrum is therefore
+    ``F(s)`` itself, and only the noise is transformed and equalized.
+
     The solvers run one at a time, so only one time-domain batch ``x`` is
     alive.  After a solver solves the whole batch, the amplifier's saturation
     amplitude is the mean over that batch.  One pass over the row blocks of
     :func:`solve_batch`, on its threads, then transmits the batch: a block
-    writes each row's carrier energy ``||F(x)||^2`` into ``es`` and its
-    amplified, channel-filtered and equalized noiseless spectrum into
-    ``clean[k]``.  ``x`` is then dropped and Eb is the mean of ``es``.  A
-    row's ``||F(x)||^2`` does not depend on the block it sits in, so Eb keeps
-    the bits of the mean over one whole-batch transform.
+    writes each row's carrier energy ``||F(x)||^2`` into ``es`` and the
+    spectrum of its amplified signal, ``F(sspa(x))`` (``F(x)`` with the PA
+    off), into ``clean[k]``.  ``x`` is then dropped and Eb is the mean of
+    ``es``.  A row's ``||F(x)||^2`` does not depend on the block it sits
+    in, so Eb keeps the bits of the mean over one whole-batch transform.
 
-    The link stage runs in the same row blocks and reads only ``clean``, the
-    ``(n_solvers, n_symbols, N)`` equalized spectra.  The FFT and the one-tap
-    equalizer are linear, so the equalized spectrum of ``clean + s * unit``
-    is ``F(clean)/H + s * F(unit)/H``.  For each Eb/N0 point a block draws
-    the unit noise once (one stream per symbol) and transforms and equalizes
-    it once.  Every solver's received spectrum is then one broadcast
-    ``clean + s_k * noise``, with ``s_k`` that solver's noise scale, and one
-    :func:`dsp.demap_bits` call decides all solvers' rows.  The integer error
-    counts of the blocks add up to the same totals for any block layout.
-    Rows come out solver by solver, each over the Eb/N0 grid.
+    The link stage runs in the same row blocks, on the calling thread at any
+    ``cfg.workers`` (its noise draws trade the GIL row by row, so a second
+    thread only adds CPU), and reads only ``clean``, the
+    ``(n_solvers, n_symbols, N)`` noiseless spectra.  For each Eb/N0 point a
+    block draws the unit noise once (one stream per symbol) and transforms
+    and equalizes it once.  Every solver's received spectrum is then one
+    broadcast ``clean + s_k * F(unit) / H``, with ``s_k`` that solver's
+    noise scale, and one :func:`dsp.demap_bits` call decides all solvers'
+    rows.  The integer error counts of the blocks add up to the same totals
+    for any block layout.  Rows come out solver by solver, each over the
+    Eb/N0 grid.
     """
     plan, const, bits, c_o = _symbols(cfg, cfg.n_symbols)
     n_solvers, n_points = len(SOLVERS), len(cfg.ebn0_db)
@@ -420,10 +442,6 @@ def run_ber(cfg: ExperimentConfig):
     multipath = cfg.channel == "multipath"
     h = multipath_impulse_response(cfg.oversample * NATIVE_BANDWIDTH_HZ)
     resp = channel_frequency_response(h, n_samples, cfg.n_carriers)
-
-    def carriers(x):
-        c_hat = dsp.fft_oversampled(x, cfg.oversample)
-        return equalize_zero_forcing(c_hat, resp) if multipath else c_hat
 
     es = np.empty(cfg.n_symbols)  # ||F(x)||^2 per row of the current solver
     clean = np.empty((n_solvers, cfg.n_symbols, cfg.n_carriers), dtype=np.complex128)
@@ -433,11 +451,11 @@ def run_ber(cfg: ExperimentConfig):
         a_sat = saturation_amplitude(x) if cfg.pa_enabled else None
 
         def transmit_block(lo, hi):
-            x_tx = x[lo:hi]
-            es[lo:hi] = np.linalg.norm(dsp.fft_oversampled(x_tx, cfg.oversample), axis=-1) ** 2
+            spectrum = dsp.fft_oversampled(x[lo:hi], cfg.oversample)
+            es[lo:hi] = np.linalg.norm(spectrum, axis=-1) ** 2
             if a_sat is not None:
-                x_tx = sspa(x_tx, a_sat=a_sat)
-            clean[k, lo:hi] = carriers(multipath_apply(x_tx, h) if multipath else x_tx)
+                spectrum = dsp.fft_oversampled(sspa(x[lo:hi], a_sat=a_sat), cfg.oversample)
+            clean[k, lo:hi] = spectrum
 
         _run_blocks(cfg, cfg.n_symbols, n_samples, transmit_block)
         del x
@@ -451,7 +469,10 @@ def run_ber(cfg: ExperimentConfig):
         received = np.empty((n_solvers, n_rows, cfg.n_carriers), dtype=np.complex128)
         errors = np.zeros((n_solvers, n_points), dtype=np.int64)
         for j, ebn0 in enumerate(cfg.ebn0_db):
-            noise = carriers(_unit_noise(cfg, (n_rows, n_samples), int(round(ebn0 * 1000)), lo))
+            noise = _unit_noise(cfg, (n_rows, n_samples), int(round(ebn0 * 1000)), lo)
+            noise = dsp.fft_oversampled(noise, cfg.oversample)
+            if multipath:
+                noise = equalize_zero_forcing(noise, resp)
             np.multiply(scales[:, j, None, None], noise, out=received)
             received += clean[:, lo:hi]
             decided = dsp.demap_bits(received.reshape(-1, cfg.n_carriers), const, plan)
@@ -461,7 +482,12 @@ def run_ber(cfg: ExperimentConfig):
                 errors[k, j] = acc.bit_errors
         return errors
 
-    errors = sum(_run_blocks(cfg, cfg.n_symbols, n_samples, link_block))
+    # One thread at any --workers: _unit_noise makes one standard_normal call
+    # per row, and each call releases and retakes the GIL, so two threads
+    # trade it row by row.  At 1000 multipath symbols on 2 cores the stage
+    # took 0.18-0.20 s wall and 0.25-0.27 s CPU, with ~4 400-5 000 voluntary
+    # context switches, on two threads, and 0.14-0.17 s of each on one.
+    errors = sum(_run_blocks(cfg.with_overrides(workers=1), cfg.n_symbols, n_samples, link_block))
     rows = [("solver", "channel", "ebn0_db", "ber", "bits")]
     for solver, counts in zip(SOLVERS, errors):
         for ebn0, n_err in zip(cfg.ebn0_db, counts):

@@ -18,7 +18,7 @@ from papradmm import (
     sspa,
 )
 
-from papradmm.channel import SSPA_BACKOFF_DB
+from papradmm.channel import NATIVE_BANDWIDTH_HZ, SSPA_BACKOFF_DB
 from papradmm.config import ExperimentConfig
 from papradmm.experiments import (
     _NEGATIVE_NOISE_STAGE,
@@ -184,3 +184,18 @@ class TestMultipath:
         resp = channel_frequency_response(h, 256, 64)
         c_hat = equalize_zero_forcing(fft_oversampled(rx, 4), resp)
         assert np.abs(c_hat - c_o).max() < 1e-10
+
+    @pytest.mark.parametrize("oversample", [1, 4])
+    def test_zero_forcing_cancels_the_channel_on_any_signal(self, oversample):
+        # run_ber takes F(x) as the noiseless received spectrum: behind the
+        # prefix the channel is one gain per bin, so zero forcing undoes it on
+        # any x, band-limited or not (raw samples and their amplified copy)
+        h = multipath_impulse_response(oversample * NATIVE_BANDWIDTH_HZ)
+        n = 64 * oversample
+        resp = channel_frequency_response(h, n, 64)
+        rng = np.random.default_rng(6)
+        samples = rng.normal(size=(8, n)) + 1j * rng.normal(size=(8, n))
+        for x in (samples, sspa(samples)):
+            want = fft_oversampled(x, oversample)
+            got = equalize_zero_forcing(fft_oversampled(multipath_apply(x, h), oversample), resp)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

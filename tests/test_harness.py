@@ -2,14 +2,16 @@ import gc
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from concurrent.futures import Future
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from papradmm.cli import main
@@ -137,6 +139,42 @@ class TestSeedTable:
             one = experiments.rng_for(seed, i, *key)
             again = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, *key)))
             assert np.array_equal(one.standard_normal(8), again.standard_normal(8))
+
+
+class TestGenerateBits:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70 - 1),
+        constellation=st.sampled_from(["qpsk", "16qam"]),
+        n_free=st.sampled_from([1, 2, 12, 31, 63]),
+        n_symbols=st.integers(0, 4),
+    )
+    @example(seed=2**32, constellation="16qam", n_free=12, n_symbols=3)
+    @example(seed=2**64 + 5, constellation="qpsk", n_free=1, n_symbols=2)
+    def test_rows_are_the_per_row_integers_draw(self, seed, constellation, n_free, n_symbols):
+        cfg = ExperimentConfig().with_overrides(
+            seed=seed, constellation=constellation, n_free=n_free
+        )
+        plan = experiments.make_plan(cfg)
+        const = dsp.Constellation.from_name(constellation)
+        n = plan.n_data * const.bits_per_symbol
+        bits = experiments.generate_bits(cfg, n_symbols, const, plan)
+        assert bits.shape == (n_symbols, n) and bits.dtype == np.int8
+        for i, row in enumerate(bits):
+            want = experiments.rng_for(seed, i, experiments._BITS_STAGE).integers(0, 2, size=n)
+            assert np.array_equal(row, want), i
+
+    @pytest.mark.parametrize("n_data", [1, 3, 51])
+    def test_odd_bit_count_is_the_integers_draw(self, n_data):
+        # the stock constellations give an even count; an odd one drops the
+        # unused half of the last raw word
+        cfg = ExperimentConfig().with_overrides(seed=2**40 + 3)
+        plan = dsp.CarrierPlan(n_data + 1, np.arange(1, n_data + 1), [0])
+        one_bit = SimpleNamespace(bits_per_symbol=1)
+        bits = experiments.generate_bits(cfg, 3, one_bit, plan)
+        for i, row in enumerate(bits):
+            rng = experiments.rng_for(cfg.seed, i, experiments._BITS_STAGE)
+            assert np.array_equal(row, rng.integers(0, 2, size=n_data)), i
 
 
 class TestBlockedDispatch:
@@ -495,26 +533,26 @@ class TestBerLinkStage:
         assert 2 * experiments.BLOCK_SAMPLES < 300 * cfg.oversample * cfg.n_carriers
         assert_ber_rows(cfg, BER_ERRORS_300[channel], 62400)
 
-    def test_noise_drawn_once_per_symbol_and_channel_once_per_solver(self, monkeypatch):
-        streams, channel_rows, solved = [], [], []
-        seed_table, multipath_apply = experiments.seed_table, experiments.multipath_apply
+    def test_noise_drawn_once_per_symbol_and_amplifier_once_per_solver(self, monkeypatch):
+        streams, amplified_rows, solved = [], [], []
+        seed_table, sspa = experiments.seed_table, experiments.sspa
         solve_batch = experiments.solve_batch
 
         def recording_table(seed, lo, hi, *key):
             streams.extend((i, *key) for i in range(lo, hi))
             return seed_table(seed, lo, hi, *key)
 
-        def recording_channel(x, h):
+        def recording_sspa(x, a_sat=None):
             # (the solver solved last, rows)
-            channel_rows.append((solved[-1], len(x)))
-            return multipath_apply(x, h)
+            amplified_rows.append((solved[-1], len(x)))
+            return sspa(x, a_sat=a_sat)
 
         def recording_solve_batch(cfg, solver, *args, **kwargs):
             solved.append(solver)
             return solve_batch(cfg, solver, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "seed_table", recording_table)
-        monkeypatch.setattr(experiments, "multipath_apply", recording_channel)
+        monkeypatch.setattr(experiments, "sspa", recording_sspa)
         monkeypatch.setattr(experiments, "solve_batch", recording_solve_batch)
         cfg = ExperimentConfig().with_overrides(
             n_symbols=300, iterations=2, ebn0_db="4,8,12", channel="multipath"
@@ -525,15 +563,38 @@ class TestBerLinkStage:
         # one bit stream per symbol, then one noise stream per (symbol, Eb/N0),
         # each seeded exactly once
         assert len(streams) == len(set(streams)) == cfg.n_symbols * (1 + len(cfg.ebn0_db))
-        # solver-major: each solver's rows go through right after its solve,
-        # in blocks, and before the next solver's solve
+        # solver-major: each solver's rows go through the amplifier right after
+        # its solve, in blocks, and before the next solver's solve
         assert solved == list(solvers)
-        order = [k for k, _ in channel_rows]
+        order = [k for k, _ in amplified_rows]
         assert order == sorted(order, key=solvers.index)
-        assert max(rows for _, rows in channel_rows) <= block_rows
+        assert max(rows for _, rows in amplified_rows) <= block_rows
         for solver in solvers:
-            rows = [rows for k, rows in channel_rows if k == solver]
+            rows = [rows for k, rows in amplified_rows if k == solver]
             assert len(rows) > 1 and sum(rows) == cfg.n_symbols, solver
+
+    def test_link_stage_runs_on_the_calling_thread(self, monkeypatch):
+        # the solves and the transmit pass keep the pool; the noise draws do not
+        noise_threads, amplifier_threads = set(), set()
+        unit_noise, sspa = experiments._unit_noise, experiments.sspa
+
+        def recording_noise(*args, **kwargs):
+            noise_threads.add(threading.get_ident())
+            return unit_noise(*args, **kwargs)
+
+        def recording_sspa(*args, **kwargs):
+            amplifier_threads.add(threading.get_ident())
+            return sspa(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_unit_noise", recording_noise)
+        monkeypatch.setattr(experiments, "sspa", recording_sspa)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        cfg = ExperimentConfig().with_overrides(
+            n_symbols=300, iterations=2, ebn0_db="4,8", channel="multipath", workers=2
+        )
+        experiments.run_ber(cfg)
+        assert noise_threads == {threading.get_ident()}
+        assert amplifier_threads and threading.get_ident() not in amplifier_threads
 
     def test_link_stage_transforms_once_per_solver_and_point(self, monkeypatch):
         # the row-block passes that run outside solve_batch: one transmit pass
