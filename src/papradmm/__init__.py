@@ -13,7 +13,6 @@ from .dsp import (
 )
 from .params import AdmmParams, db_to_linear
 from .subproblems import (
-    CUpdateResult,
     c_update,
     uw_update,
     x_update,

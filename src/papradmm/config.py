@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 from .dsp import Constellation
@@ -126,10 +127,15 @@ class ExperimentConfig:
         return dataclasses.replace(self, **updates).validate()
 
     def _coerce(self, key: str, value):
+        current = getattr(type(self)(), key)
         if not isinstance(value, str):
+            if isinstance(current, int) and not isinstance(current, bool):
+                try:
+                    return operator.index(value)
+                except TypeError:
+                    raise ConfigError(f"{key} must be an integer, got {value}") from None
             return value
         text = value.strip()
-        current = getattr(type(self)(), key)
         if isinstance(current, tuple):  # ebn0_db
             try:
                 return _parse_float_list(text)

@@ -22,28 +22,19 @@ from dataclasses import dataclass
 from . import dsp
 from .params import AdmmParams
 from .subproblems import c_update, x_update, z_projection
-from .sweep import row_norm, run_sweeps
+from .sweep import SweepReport, row_norm, run_sweeps
 
 
 @dataclass
-class DirectReport:
-    """Per-iteration trace and final multipliers of a direct-engine run.
+class DirectReport(SweepReport):
+    """Trace and final multipliers of a direct-engine run.
 
-    Trace arrays have shape ``(n_iters, K)``; frozen (converged or bypassed)
-    symbols repeat their last values with zero residuals.
-    ``residual`` is the squared step ``||dc||^2 + ||dx||^2`` of each
-    sweep, so ``converged`` at ``eps`` means steps of about ``sqrt(eps)``.
-    ``fcpo_active`` flags the symbols whose FCPO multiplier ``mu`` was
-    positive in at least one of their sweeps (every symbol that sweeps, at
-    ``beta = 0``).  On an unflagged symbol the bound never bound, so it runs
-    the same sweeps, bit for bit, at any larger ``beta``.
+    ``residual`` is the squared step ``||dc||^2 + ||dx||^2`` of each sweep,
+    so ``converged`` at ``eps`` means steps of about ``sqrt(eps)``.
+    ``y_final`` and ``mu_final`` are the final multipliers of the coupling
+    and of the FCPO bound.
     """
 
-    iterations: int
-    bypassed: np.ndarray
-    converged: np.ndarray
-    fcpo_active: np.ndarray
-    residual: np.ndarray
     y_final: np.ndarray
     mu_final: np.ndarray
 
@@ -101,8 +92,8 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
         c, x, ys = s["c"], s["x"], s["ys"]
         b = np.subtract(x, ys)
         v = c_o + r * dsp.fft_oversampled(b, oversample)
-        cres = c_update(v, plan, params.beta, r)
-        c_new = where_active(cres.c, c)
+        c_new, mu = c_update(v, plan, params.beta, r)
+        c_new = where_active(c_new, c)
         ac = dsp.ifft_oversampled(c_new, oversample)
         x_new = where_active(x_update(np.add(ac, ys, out=b), params.alpha), x)
         # the dual step ys + (ac - x') is built in ac, and the x step in the
@@ -111,22 +102,17 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
         ys_new = where_active(np.add(ys, ac, out=ac), ys)
         change = row_norm(c_new - c) ** 2 + row_norm(np.subtract(x_new, x, out=x)) ** 2
         s.update(
-            c=c_new, x=x_new, ys=ys_new, mu=where_active(cres.mu, s["mu"]),
-            fcpo_active=where_active(s["fcpo_active"] | (cres.mu > 0), s["fcpo_active"]),
+            c=c_new, x=x_new, ys=ys_new, mu=where_active(mu, s["mu"]),
+            fcpo_active=where_active(s["fcpo_active"] | (mu > 0), s["fcpo_active"]),
         )
         return change
 
     sweeps = run_sweeps(c_o, plan, params, oversample, start, step)
     return sweeps.result(
-        DirectReport(
-            iterations=sweeps.iterations,
-            bypassed=sweeps.bypassed,
-            converged=sweeps.converged,
-            fcpo_active=sweeps.state["fcpo_active"],
-            residual=sweeps.residual,
-            y_final=rho * sweeps.state["ys"],
-            mu_final=sweeps.state["mu"],
-        )
+        DirectReport,
+        fcpo_active=sweeps.state["fcpo_active"],
+        y_final=rho * sweeps.state["ys"],
+        mu_final=sweeps.state["mu"],
     )
 
 

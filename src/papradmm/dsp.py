@@ -13,6 +13,8 @@ Conventions used throughout the package:
   symbols is an array of shape ``(K, N)`` or ``(K, L*N)``.
 """
 
+import operator
+
 import numpy as np
 from dataclasses import dataclass, field
 
@@ -23,6 +25,17 @@ class DegenerateSymbolError(ValueError):
 
 def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128)
+
+
+def _oversample_factor(oversample) -> int:
+    """``oversample`` as an ``int``; any integer type >= 1 passes, a float does not."""
+    try:
+        factor = operator.index(oversample)
+    except TypeError:
+        factor = 0
+    if factor < 1:
+        raise ValueError(f"oversample must be a positive integer, got {oversample}")
+    return factor
 
 
 def ifft_oversampled(c, oversample: int) -> np.ndarray:
@@ -42,9 +55,7 @@ def ifft_oversampled(c, oversample: int) -> np.ndarray:
         i.e. ``x[n] = (1/(L*N)) * sum_k c[k] exp(2j*pi*n*k/(L*N))``.
     """
     c = _as_complex(c)
-    oversample = int(oversample)
-    if oversample < 1:
-        raise ValueError(f"oversample must be a positive integer, got {oversample}")
+    oversample = _oversample_factor(oversample)
     n_carriers = c.shape[-1]
     x = np.zeros(c.shape[:-1] + (oversample * n_carriers,), dtype=np.complex128)
     x[..., :n_carriers] = c
@@ -62,9 +73,7 @@ def fft_oversampled(x, oversample: int) -> np.ndarray:
     The result owns its bins, so it does not keep the full transform alive.
     """
     x = _as_complex(x)
-    oversample = int(oversample)
-    if oversample < 1:
-        raise ValueError(f"oversample must be a positive integer, got {oversample}")
+    oversample = _oversample_factor(oversample)
     if x.shape[-1] % oversample:
         raise ValueError(
             f"input length {x.shape[-1]} is not a multiple of oversample={oversample}"

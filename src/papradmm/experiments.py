@@ -567,7 +567,6 @@ def run_bench(cfg: ExperimentConfig):
             t2 = time.perf_counter()
             per_iter = ((t1 - t0) - (t2 - t1)) / iters
             best = min(best, per_iter)
-        x = dsp.ifft_oversampled(c_o, cfg.oversample)
         t0 = time.perf_counter()
         for _ in range(10):
             dsp.fft_oversampled(dsp.ifft_oversampled(c_o, cfg.oversample), cfg.oversample)

@@ -11,7 +11,7 @@ Lagrangian by at least ``lambda_min(Q)`` times the squared (u, w) step, where
 whose eigenvalues are ``rho/2`` and ``(rho^2 + 2*rho*rho_tilde -
 8*rho_tilde^2) / (2*rho)``.  From the start state on the multipliers obey
 ``y1 = rho_tilde*(u - w) = -y2``, so the engine keeps only (u, w) and derives
-them; a run with ``certify=True`` records the descent and the identity per
+them; a run with ``certify=True`` records the Lagrangian and the identity per
 iteration, so it can certify its own convergence behaviour.
 """
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import dsp
 from .params import AdmmParams
 from .subproblems import c_update, uw_update, x_update
-from .sweep import row_norm, run_sweeps
+from .sweep import SweepReport, row_norm, run_sweeps
 
 # Slack of the descent check, relative to the size of the Lagrangian drop
 DESCENT_REL_TOL = 1e-8
@@ -31,30 +31,23 @@ FEASIBLE_START_REL_TOL = 1e-9
 
 
 @dataclass
-class RelaxReport:
+class RelaxReport(SweepReport):
     """Trace of a relaxed-engine run.
 
-    ``lagrangian_initial`` is the augmented Lagrangian at the initial state.
+    ``residual`` is the squared (u, w) step ``||du||^2 + ||dw||^2`` of each
+    sweep.  ``lagrangian_initial`` is the augmented Lagrangian at the initial state.
     The certificate traces are recorded only by a run with ``certify=True``
     and are ``None`` otherwise: ``lagrangian`` has shape ``(n_iters + 1, K)``
     and starts with ``lagrangian_initial``; ``descent_lhs/rhs`` are the two
-    sides of the per-sweep descent bound and ``identity_residual`` is the
+    sides of the per-sweep descent bound, read off that trace and
+    ``residual`` by one :func:`descent_check`; ``identity_residual`` is the
     max-norm distance of the explicit dual steps from the multipliers derived
     at the new (u, w) (0 on a stopped symbol).  All other traces have shape
     ``(n_iters, K)``; ``u_final`` and ``w_final`` give the final multipliers.
     ``feasible_start`` flags symbols whose initial pair satisfied all
     constraints with ``Ac1 = x1`` (see :func:`feasible_start_state`).
-    ``fcpo_active`` flags the symbols whose FCPO multiplier was positive in
-    at least one of their sweeps (every symbol that sweeps, at ``beta = 0``);
-    as in :class:`~papradmm.direct.DirectReport`, an unflagged symbol runs
-    the same sweeps, bit for bit, at any larger ``beta``.
     """
 
-    iterations: int
-    bypassed: np.ndarray
-    converged: np.ndarray
-    fcpo_active: np.ndarray
-    residual: np.ndarray
     lagrangian_initial: np.ndarray
     lagrangian: np.ndarray | None
     descent_lhs: np.ndarray | None
@@ -74,15 +67,16 @@ def lambda_min_q(rho: float, rho_tilde: float) -> float:
     return min(rho / 2.0, (rho**2 + 2.0 * rho * rho_tilde - 8.0 * rho_tilde**2) / (2.0 * rho))
 
 
-def descent_check(lagr_before, lagr_after, du_sq, dw_sq, rho: float, rho_tilde: float):
-    """Check one sweep's sufficient-descent inequality.
+def descent_check(lagr_before, lagr_after, step_sq, rho: float, rho_tilde: float):
+    """Check the sufficient-descent inequality of one or more sweeps.
 
-    Returns ``(lhs, rhs, ok)`` with ``lhs`` the Lagrangian drop, ``rhs``
-    the required margin ``lambda_min(Q) * (||du||^2 + ||dw||^2)``, and
-    ``ok = lhs >= rhs - DESCENT_REL_TOL*(1 + |lhs|)``.
+    ``step_sq`` is the squared (u, w) step ``||du||^2 + ||dw||^2``, the
+    report's ``residual``.  Returns ``(lhs, rhs, ok)`` with ``lhs`` the
+    Lagrangian drop, ``rhs`` the required margin ``lambda_min(Q) * step_sq``,
+    and ``ok = lhs >= rhs - DESCENT_REL_TOL*(1 + |lhs|)``.
     """
     lhs = np.asarray(lagr_before, dtype=float) - np.asarray(lagr_after, dtype=float)
-    rhs = lambda_min_q(rho, rho_tilde) * (np.asarray(du_sq) + np.asarray(dw_sq))
+    rhs = lambda_min_q(rho, rho_tilde) * np.asarray(step_sq)
     ok = lhs >= rhs - DESCENT_REL_TOL * (1.0 + np.abs(lhs))
     return lhs, rhs, ok
 
@@ -164,9 +158,10 @@ def relax_solve(
     flagged symbols); otherwise ``c1 = c_o`` and ``x1`` is the PAPR
     projection of the raw signal.  Either way the auxiliaries start at their
     common mean, ``u1 = w1 = (A c1 + x1)/2``, so the multipliers start at zero.
-    With ``certify=True`` every sweep also records the Lagrangian, the
-    descent check and the multiplier identities (see :class:`RelaxReport`);
-    the iterates do not depend on it.
+    With ``certify=True`` every sweep also records the Lagrangian and the
+    multiplier identities, and the descent sides are read off the Lagrangian
+    trace after the last sweep (see :class:`RelaxReport`); the iterates do
+    not depend on it.
 
     Returns ``(x, c, report)`` like the direct engine.
     """
@@ -181,7 +176,8 @@ def relax_solve(
     r = rho / (plan.n_carriers * oversample)
     # y1/rho = (rho_tilde/rho)*(u - w)
     tie = rho_tilde / rho
-    certificates = {"lagr": [], "lhs": [], "rhs": [], "ident": []}
+    # the initial Lagrangian, then one per sweep of a certified run
+    lagrangians, identities = [], []
 
     def start(c_o, x_raw):
         feas = None
@@ -201,13 +197,11 @@ def relax_solve(
         # relax_lagrangian's multiplier and tie terms are exact zeros here
         # (y1 = y2 = 0, u = w), and adding a zero to the nonnegative distance
         # term leaves it unchanged, so dropping them keeps every bit.
-        lagr = 0.5 * sd_dist + 0.5 * rho * (
-            row_norm(ac - u) ** 2 + row_norm(x - u) ** 2
+        lagrangians.append(
+            0.5 * sd_dist + 0.5 * rho * (row_norm(ac - u) ** 2 + row_norm(x - u) ** 2)
         )
         return {
             "c": c, "ac": ac, "x": x, "u": u, "w": u.copy(),
-            "lagr": lagr,
-            "lagr_initial": lagr,
             "sd_dist_initial": sd_dist,
             "feasible_start": feas,
             "fcpo_active": np.zeros(c_o.shape[0], dtype=bool),
@@ -218,9 +212,9 @@ def relax_solve(
         d = np.subtract(u, w)
         b = np.multiply(tie, d)
         v = c_o + r * dsp.fft_oversampled(u - b, oversample)
-        cres = c_update(v, plan, params.beta, r)
-        c = where_active(cres.c, s["c"])
-        s["fcpo_active"] = where_active(s["fcpo_active"] | (cres.mu > 0), s["fcpo_active"])
+        c, mu = c_update(v, plan, params.beta, r)
+        c = where_active(c, s["c"])
+        s["fcpo_active"] = where_active(s["fcpo_active"] | (mu > 0), s["fcpo_active"])
         ac = dsp.ifft_oversampled(c, oversample)
         x = where_active(x_update(np.add(w, b, out=b), params.alpha), s["x"])
         # free b and the old ac and x before uw_update's three arrays, the
@@ -242,46 +236,38 @@ def relax_solve(
             step_u = where_active(y1 + rho * (ac - u_new), y1_new)
             step_w = where_active(rho * (x - w_new) - y1, -y1_new)
             ident = multiplier_identity_residual(u_new, w_new, step_u, step_w, rho_tilde)
-            lagr = relax_lagrangian(
-                c, ac, x, u_new, w_new, y1_new, c_o, plan, rho, rho_tilde
-            )
-            lhs, rhs, _ = descent_check(s["lagr"], lagr, du_sq, dw_sq, rho, rho_tilde)
-            for name, value in zip(certificates, (lagr, lhs, rhs, ident)):
-                certificates[name].append(value)
-            s["lagr"] = lagr
+            lagr = relax_lagrangian(c, ac, x, u_new, w_new, y1_new, c_o, plan, rho, rho_tilde)
+            identities.append(ident)
+            lagrangians.append(lagr)
         return du_sq + dw_sq
 
     sweeps = run_sweeps(c_o, plan, params, oversample, start, step)
     s = sweeps.state
-
-    def certificate(name):
-        return np.array(certificates[name]) if certify else None
-
+    trace = lhs = rhs = identity = None
+    if certify:
+        # a stopped row repeats its Lagrangian and records a zero step, so
+        # both of its sides are 0 from then on
+        trace = np.array(lagrangians)
+        lhs, rhs, _ = descent_check(trace[:-1], trace[1:], sweeps.residual, rho, rho_tilde)
+        identity = np.array(identities).reshape(sweeps.residual.shape)
     # A bypassed row transmits x_raw = A c_o, so its coupling gap is zero.
     consensus_gap = row_norm(s["ac"] - sweeps.x) ** 2
     consensus_gap[sweeps.bypassed] = 0.0
     return sweeps.result(
-        RelaxReport(
-            iterations=sweeps.iterations,
-            bypassed=sweeps.bypassed,
-            converged=sweeps.converged,
-            fcpo_active=s["fcpo_active"],
-            residual=sweeps.residual,
-            lagrangian_initial=s["lagr_initial"],
-            lagrangian=(
-                np.array([s["lagr_initial"], *certificates["lagr"]]) if certify else None
-            ),
-            descent_lhs=certificate("lhs"),
-            descent_rhs=certificate("rhs"),
-            identity_residual=certificate("ident"),
-            consensus_gap=consensus_gap,
-            sd_dist_initial=s["sd_dist_initial"],
-            sd_dist_final=row_norm(np.take(sweeps.c - sweeps.c_o, plan.data_idx, axis=-1)) ** 2,
-            uw_gap_final=row_norm(s["u"] - s["w"]) ** 2,
-            u_final=s["u"],
-            w_final=s["w"],
-            feasible_start=s["feasible_start"],
-        )
+        RelaxReport,
+        fcpo_active=s["fcpo_active"],
+        lagrangian_initial=lagrangians[0],
+        lagrangian=trace,
+        descent_lhs=lhs,
+        descent_rhs=rhs,
+        identity_residual=identity,
+        consensus_gap=consensus_gap,
+        sd_dist_initial=s["sd_dist_initial"],
+        sd_dist_final=row_norm(np.take(sweeps.c - sweeps.c_o, plan.data_idx, axis=-1)) ** 2,
+        uw_gap_final=row_norm(s["u"] - s["w"]) ** 2,
+        u_final=s["u"],
+        w_final=s["w"],
+        feasible_start=s["feasible_start"],
     )
 
 

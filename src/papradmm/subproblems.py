@@ -14,26 +14,12 @@ All functions are vectorized over leading axes (batch of symbols).
 """
 
 import numpy as np
-from dataclasses import dataclass
 
 from .dsp import CarrierPlan, DegenerateSymbolError, _as_complex
 from .sweep import row_norm
 
 
-@dataclass
-class CUpdateResult:
-    """Carrier-domain update: optimizer and its FCPO multiplier.
-
-    ``mu`` is the nonnegative multiplier of the bound
-    ``||c_F||^2 <= beta*||c_D||^2`` (``inf`` sentinel in the ``beta = 0``
-    limit, where the free carriers are pinned to zero exactly).
-    """
-
-    c: np.ndarray
-    mu: np.ndarray
-
-
-def c_update(v, plan: CarrierPlan, beta: float, r: float) -> CUpdateResult:
+def c_update(v, plan: CarrierPlan, beta: float, r: float):
     """Minimize ``0.5*||c_D - v_D||^2-style`` carrier objective under the FCPO bound.
 
     Solves, in closed form, the diagonal system
@@ -44,7 +30,9 @@ def c_update(v, plan: CarrierPlan, beta: float, r: float) -> CUpdateResult:
     (2*(beta*||v_F|| + sqrt(beta)*||v_D||)))``, which activates the bound
     exactly when the unconstrained solution would violate it.  ``r`` is the
     caller's quadratic-coupling weight (``rho`` scaled by the time-domain
-    length).
+    length).  Returns ``(c, mu)`` with ``mu`` the nonnegative multiplier of the
+    bound ``||c_F||^2 <= beta*||c_D||^2`` (``inf`` in the ``beta = 0`` limit,
+    where the free carriers are pinned to zero exactly).
     """
     v = _as_complex(v)
     if beta < 0:
@@ -63,8 +51,7 @@ def c_update(v, plan: CarrierPlan, beta: float, r: float) -> CUpdateResult:
     if beta == 0.0:
         c[..., plan.data_idx] = np.divide(v_data, 1.0 + r, out=v_data)
         c[..., plan.free_idx] = 0.0
-        mu = np.full(v.shape[:-1], np.inf)
-        return CUpdateResult(c=c, mu=mu)
+        return c, np.full(v.shape[:-1], np.inf)
 
     if np.any(d_norm == 0.0):
         # Constraint boundary collapses: the optimal data part has arbitrary
@@ -79,7 +66,7 @@ def c_update(v, plan: CarrierPlan, beta: float, r: float) -> CUpdateResult:
         v_data, (1.0 + r - 2.0 * mu * beta)[..., None], out=v_data
     )
     c[..., plan.free_idx] = np.divide(v_free, (r + 2.0 * mu)[..., None], out=v_free)
-    return CUpdateResult(c=c, mu=mu)
+    return c, mu
 
 
 def _clip_scale(mag, mag_sq, n_nonzero, alpha: float):

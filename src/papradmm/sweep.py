@@ -28,11 +28,32 @@ def row_norm(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass
+class SweepReport:
+    """The per-row outcome that opens every engine's report.
+
+    ``residual`` has shape ``(n_iters, K)``, ``n_iters = iterations``, and
+    holds each sweep's squared step; a frozen symbol records zeros.
+    ``bypassed`` flags the symbols whose raw PAPR already met the target, and
+    ``converged`` those that stopped, bypassed ones included.
+    ``fcpo_active`` flags the symbols whose FCPO multiplier was positive in
+    at least one of their sweeps (every symbol that sweeps, at ``beta = 0``);
+    an unflagged symbol runs the same sweeps, bit for bit, at any larger ``beta``.
+    """
+
+    iterations: int
+    bypassed: np.ndarray
+    converged: np.ndarray
+    fcpo_active: np.ndarray
+    residual: np.ndarray
+
+
+@dataclass
 class Sweeps:
     """Outcome of :func:`run_sweeps`, always on a 2-D batch.
 
     ``x`` and ``c`` hold the raw signal and ``c_o`` on bypassed rows and the
-    final state everywhere else.  ``residual`` has shape ``(n_iters, K)``.
+    final state everywhere else.  ``residual`` has shape ``(n_iters, K)``,
+    also when no sweep ran.
     """
 
     c_o: np.ndarray
@@ -44,12 +65,17 @@ class Sweeps:
     residual: np.ndarray
     single: bool
 
-    @property
-    def iterations(self) -> int:
-        return len(self.residual)
-
-    def result(self, report):
-        """``(x, c, report)`` with ``x`` and ``c`` shaped like the input."""
+    def result(self, report_type, **fields):
+        """``(x, c, report)``, with ``x`` and ``c`` shaped like the input; the
+        ``report_type`` report takes the loop's ``iterations``, ``bypassed``,
+        ``converged`` and ``residual``, and ``fields`` for the rest."""
+        report = report_type(
+            iterations=len(self.residual),
+            bypassed=self.bypassed,
+            converged=self.converged,
+            residual=self.residual,
+            **fields,
+        )
         if self.single:
             return self.x[0], self.c[0], report
         return self.x, self.c, report
@@ -73,7 +99,8 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step)
     applies it to every state array it updates, so a stopped symbol keeps its
     state and records a zero step.  While every symbol is running it writes
     nothing.  On return ``x`` and ``c`` are the state's own arrays, with the
-    raw signal and ``c_o`` written into their bypassed rows.
+    raw signal and ``c_o`` written into their bypassed rows, and the engine
+    returns :meth:`Sweeps.result` with its own report fields.
     """
     c_o = dsp._as_complex(c_o)
     single = c_o.ndim == 1
@@ -112,6 +139,6 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step)
         state=state,
         bypassed=bypassed,
         converged=done,
-        residual=np.array(residuals),
+        residual=np.array(residuals).reshape(len(residuals), len(c_o)),
         single=single,
     )

@@ -242,8 +242,8 @@ def test_criterion_7_subproblem_oracles():
         beta = float(rng.uniform(0.05, 1.2))
         r = float(rng.uniform(0.1, 20.0))
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        res = c_update(v, plan, beta, r)
-        ours = _c_objective(res.c, v, plan, r)
+        c, _ = c_update(v, plan, beta, r)
+        ours = _c_objective(c, v, plan, r)
         ref = _c_oracle_value(v, plan, beta, r)
         worst_c = max(worst_c, ours - ref)
         # projection direction, ln <= 4

@@ -145,6 +145,24 @@ def test_invalid_oversample_rejected():
         fft_oversampled(np.ones(6), 4)
 
 
+@pytest.mark.parametrize("oversample", [2.5, 1.9, 0.5, 2.0, 0, -1, np.int64(0)])
+def test_oversample_must_be_a_positive_integer(oversample):
+    # a float is not truncated to an integer factor, and the message names
+    # the value the caller passed
+    got = f"got {oversample}$"
+    with pytest.raises(ValueError, match=got):
+        ifft_oversampled(np.ones(8), oversample)
+    with pytest.raises(ValueError, match=got):
+        fft_oversampled(np.ones(16), oversample)
+
+
+def test_oversample_takes_any_integer_type():
+    c = np.arange(1.0, 9.0)
+    x = ifft_oversampled(c, np.int64(2))
+    assert x.shape == (16,) and np.array_equal(x, ifft_oversampled(c, 2))
+    assert np.array_equal(fft_oversampled(x, np.int32(2)), fft_oversampled(x, 2))
+
+
 class TestCarrierPlan:
     def test_default_plan_layout(self):
         plan = CarrierPlan.default(64, 12)

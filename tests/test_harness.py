@@ -82,6 +82,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig().with_overrides(n_symbols="many")
 
+    @pytest.mark.parametrize(
+        "key", ["oversample", "n_symbols", "workers", "seed", "iterations", "n_carriers", "n_free"]
+    )
+    def test_integer_keys_reject_a_float(self, key):
+        for value in (2.5, 2.0):
+            with pytest.raises(ConfigError, match=f"^{key} must be an integer, got {value}$"):
+                ExperimentConfig().with_overrides(**{key: value})
+
+    def test_integer_keys_take_any_integer_type(self):
+        cfg = ExperimentConfig().with_overrides(oversample=np.int64(2), n_symbols=np.int32(20))
+        assert (cfg.oversample, cfg.n_symbols) == (2, 20)
+        assert type(cfg.oversample) is int and type(cfg.n_symbols) is int
+
 
 class TestDeterminism:
     def test_fixed_seed_reruns_identical(self):

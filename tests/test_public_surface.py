@@ -12,7 +12,6 @@ import papradmm
 
 PUBLIC_NAMES = [
     "AdmmParams",
-    "CUpdateResult",
     "CarrierPlan",
     "Constellation",
     "DegenerateSymbolError",

@@ -66,7 +66,7 @@ def test_lambda_min_stock_value():
 
 
 def test_descent_check_stationary_point_is_tight():
-    lhs, rhs, ok = descent_check(2.5, 2.5, 0.0, 0.0, 300.0, 100.0)
+    lhs, rhs, ok = descent_check(2.5, 2.5, 0.0, 300.0, 100.0)
     assert lhs == 0.0 and rhs == 0.0 and ok
 
 
@@ -124,6 +124,21 @@ class TestRelaxRun:
         _, _, rep = relax_solve(self.c_o, PLAN, params, 4, certify=True)
         assert rep.identity_residual[0].max() <= 1e-10
         assert rep.identity_residual.max() <= 1e-9
+
+    def test_descent_sides_are_read_off_the_lagrangian_trace(self):
+        # at 6.5 dB 8 of these rows bypass and, at eps 1e-6, the others stop
+        # at sweeps 1 to 27 (at 1e-4 all stop at the first)
+        params = stock_params(alpha=10 ** 0.65, max_iters=30, eps=1e-6)
+        _, _, rep = relax_solve(self.c_o, PLAN, params, 4, certify=True)
+        lagr = rep.lagrangian
+        assert np.array_equal(rep.descent_lhs, lagr[:-1] - lagr[1:])
+        assert np.array_equal(rep.descent_rhs, lambda_min_q(300.0, 100.0) * rep.residual)
+        stop = np.where(rep.bypassed, 0, (rep.residual < params.eps).argmax(axis=0) + 1)
+        stopped = rep.converged & (stop < rep.iterations)
+        assert rep.bypassed.any() and (stopped & ~rep.bypassed).any()
+        for i in np.flatnonzero(stopped):
+            assert np.all(rep.descent_lhs[stop[i] :, i] == 0.0), i
+            assert np.all(rep.descent_rhs[stop[i] :, i] == 0.0), i
 
     def test_lagrangian_nonnegative_and_nonincreasing(self):
         params = stock_params(max_iters=50, eps=0.0)

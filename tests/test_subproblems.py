@@ -128,27 +128,27 @@ def random_feasible_z(rng, n, alpha, count):
 
 class TestCUpdate:
     def test_inactive_bound_example(self):
-        res = c_update(np.array([2.0, 0.0]), PLAN2, beta=0.15, r=25.0)
-        assert res.mu == pytest.approx(0.0)
-        assert res.c[0] == pytest.approx(2.0 / 26.0)
-        assert res.c[1] == 0.0
+        c, mu = c_update(np.array([2.0, 0.0]), PLAN2, beta=0.15, r=25.0)
+        assert mu == pytest.approx(0.0)
+        assert c[0] == pytest.approx(2.0 / 26.0)
+        assert c[1] == 0.0
 
     def test_active_bound_example(self):
-        res = c_update(np.array([1.0, 1.0]), PLAN2, beta=1.0, r=1.0)
-        assert res.mu == pytest.approx(0.25)
-        assert np.allclose(res.c, [2.0 / 3.0, 2.0 / 3.0])
-        f_sq = abs(res.c[1]) ** 2
-        d_sq = abs(res.c[0]) ** 2
+        c, mu = c_update(np.array([1.0, 1.0]), PLAN2, beta=1.0, r=1.0)
+        assert mu == pytest.approx(0.25)
+        assert np.allclose(c, [2.0 / 3.0, 2.0 / 3.0])
+        f_sq = abs(c[1]) ** 2
+        d_sq = abs(c[0]) ** 2
         assert f_sq == pytest.approx(d_sq)  # boundary is tight
 
     def test_beta_zero_branch(self):
         rng = np.random.default_rng(0)
         plan = CarrierPlan.default(8, 2)
         v = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
-        res = c_update(v, plan, beta=0.0, r=3.0)
-        assert np.all(res.c[:, plan.free_idx] == 0.0)
-        assert np.allclose(res.c[:, plan.data_idx], v[:, plan.data_idx] / 4.0)
-        assert np.all(np.isinf(res.mu))
+        c, mu = c_update(v, plan, beta=0.0, r=3.0)
+        assert np.all(c[:, plan.free_idx] == 0.0)
+        assert np.allclose(c[:, plan.data_idx], v[:, plan.data_idx] / 4.0)
+        assert np.all(np.isinf(mu))
 
     def test_rejects_negative_beta_and_zero_input(self):
         with pytest.raises(ValueError):
@@ -161,13 +161,13 @@ class TestCUpdate:
         plan = CarrierPlan.default(64, 12)
         v = rng.normal(size=(9, 64)) + 1j * rng.normal(size=(9, 64))
         v[::2, plan.free_idx] *= 0.01  # the bound is inactive on these rows
-        batch = c_update(v, plan, beta=0.15, r=0.4)
-        assert np.array_equal(batch.mu > 0, np.arange(9) % 2 == 1)
+        c, mu = c_update(v, plan, beta=0.15, r=0.4)
+        assert np.array_equal(mu > 0, np.arange(9) % 2 == 1)
         for i in range(9):
             for row in (v[i : i + 1], v[i]):
-                alone = c_update(row, plan, 0.15, 0.4)
-                assert np.array_equal(np.atleast_2d(alone.c)[0], batch.c[i])
-                assert np.atleast_1d(alone.mu)[0] == batch.mu[i]
+                c_alone, mu_alone = c_update(row, plan, 0.15, 0.4)
+                assert np.array_equal(np.atleast_2d(c_alone)[0], c[i])
+                assert np.atleast_1d(mu_alone)[0] == mu[i]
 
     def test_matches_numeric_oracle_on_random_instances(self):
         rng = np.random.default_rng(42)
@@ -180,16 +180,16 @@ class TestCUpdate:
             beta = float(rng.uniform(0.02, 1.5))
             r = float(rng.uniform(0.05, 30.0))
             v = rng.normal(size=n) + 1j * rng.normal(size=n)
-            res = c_update(v, plan, beta, r)
-            ours = c_objective(res.c, v, plan, r)
+            c, mu = c_update(v, plan, beta, r)
+            ours = c_objective(c, v, plan, r)
             _, ref = c_update_oracle(v, plan, beta, r)
             worst = max(worst, ours - ref)
             # feasibility and multiplier sign
-            f_sq = np.linalg.norm(res.c[plan.free_idx]) ** 2
-            d_sq = np.linalg.norm(res.c[plan.data_idx]) ** 2
+            f_sq = np.linalg.norm(c[plan.free_idx]) ** 2
+            d_sq = np.linalg.norm(c[plan.data_idx]) ** 2
             assert f_sq <= beta * d_sq + 1e-9
-            assert res.mu >= 0.0
-            slack = res.mu * (f_sq - beta * d_sq)
+            assert mu >= 0.0
+            slack = mu * (f_sq - beta * d_sq)
             assert abs(slack) <= 1e-6 * (1.0 + f_sq + beta * d_sq)
         assert worst < 1e-5
 
@@ -202,9 +202,9 @@ class TestCUpdate:
             beta = float(rng.uniform(0.05, 1.0))
             r = float(rng.uniform(0.1, 10.0))
             v = rng.normal(size=n) + 1j * rng.normal(size=n)
-            res = c_update(v, plan, beta, r)
-            ours = c_objective(res.c, v, plan, r)
-            trial_pts = res.c + 0.3 * (
+            c, _ = c_update(v, plan, beta, r)
+            ours = c_objective(c, v, plan, r)
+            trial_pts = c + 0.3 * (
                 rng.normal(size=(1000, n)) + 1j * rng.normal(size=(1000, n))
             )
             f_sq = np.linalg.norm(trial_pts[:, plan.free_idx], axis=-1) ** 2

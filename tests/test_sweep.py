@@ -110,6 +110,16 @@ class TestOwnership:
         for (name_a, a), (name_b, b) in combinations(arrays.items(), 2):
             assert not np.shares_memory(a, b), (name_a, name_b)
 
+    @pytest.mark.parametrize("engine,kwargs", [("direct", {}), ("relax", {"certify": True})])
+    def test_a_run_with_no_sweep_returns_empty_traces(self, engine, kwargs):
+        c_o = random_symbols(np.random.default_rng(5), 3)
+        _, _, rep = solve(engine, c_o, max_iters=0, **kwargs)
+        assert rep.iterations == 0 and rep.residual.shape == (0, 3)
+        if engine == "relax":
+            assert rep.lagrangian.shape == (1, 3)
+            for trace in (rep.descent_lhs, rep.descent_rhs, rep.identity_residual):
+                assert trace.shape == (0, 3)
+
     def test_kernels_leave_their_inputs_unchanged(self):
         rng = np.random.default_rng(9)
         c = random_symbols(rng, 4)
@@ -251,9 +261,9 @@ def test_fcpo_active_flags_a_positive_multiplier_in_a_swept_step(
     mus = []
 
     def recording(*args, **kwargs):
-        result = c_update(*args, **kwargs)
-        mus.append(result.mu.copy())
-        return result
+        c, mu = c_update(*args, **kwargs)
+        mus.append(mu.copy())
+        return c, mu
 
     monkeypatch.setattr(module, "c_update", recording)
     c_o = POOL if rows == "pool" else FLIP_ROWS
