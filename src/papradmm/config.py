@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -12,8 +13,67 @@ class ConfigError(ValueError):
     """Bad configuration file or option combination (CLI exit code 2)."""
 
 
-def _parse_float_list(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
+
+
+def _is_real(value) -> bool:
+    """A real number of any type, booleans aside."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _to_int(key: str, value) -> int:
+    if isinstance(value, str):
+        try:
+            return int(value.strip())
+        except ValueError:
+            raise ConfigError(f"cannot parse {key}={value.strip()!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{key} must be an integer, got {value}")
+
+
+def _to_float(key: str, value) -> float:
+    if isinstance(value, str):
+        try:
+            return float(value.strip())
+        except ValueError:
+            raise ConfigError(f"cannot parse {key}={value.strip()!r}") from None
+    if _is_real(value):
+        return float(value)
+    raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
+def _to_float_tuple(key: str, value) -> tuple:
+    """A sequence of numbers, or its string form: numbers split by commas or spaces."""
+    if isinstance(value, str):
+        try:
+            return tuple(float(tok) for tok in value.replace(",", " ").split())
+        except ValueError:
+            raise ConfigError(f"bad list for {key!r}: {value.strip()!r}") from None
+    if isinstance(value, (list, tuple)) and all(_is_real(v) for v in value):
+        return tuple(float(v) for v in value)
+    raise ConfigError(f"{key} must be a sequence of numbers, got {value!r}")
+
+
+def _to_bool(key: str, value) -> bool:
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        word = value.strip().lower()
+        if word in _TRUE_WORDS or word in _FALSE_WORDS:
+            return word in _TRUE_WORDS
+        raise ConfigError(f"cannot parse {key}={value.strip()!r}")
+    raise ConfigError(f"{key} must be a boolean, got {value!r}")
+
+
+def _to_str(key: str, value) -> str:
+    if isinstance(value, str):
+        return value.strip()
+    raise ConfigError(f"{key} must be a string, got {value!r}")
 
 
 @dataclass
@@ -127,31 +187,19 @@ class ExperimentConfig:
         return dataclasses.replace(self, **updates).validate()
 
     def _coerce(self, key: str, value):
+        """``value`` as the type of ``key``'s default (``rho``/``rho_tilde``: float).
+
+        Every key takes its own type or the string form a config file
+        holds, and anything else raises a :class:`ConfigError` that names
+        the key.
+        """
         current = getattr(type(self)(), key)
-        if not isinstance(value, str):
-            if isinstance(current, int) and not isinstance(current, bool):
-                try:
-                    return operator.index(value)
-                except TypeError:
-                    raise ConfigError(f"{key} must be an integer, got {value}") from None
-            return value
-        text = value.strip()
+        if isinstance(current, bool):
+            return _to_bool(key, value)
+        if isinstance(current, int):
+            return _to_int(key, value)
+        if isinstance(current, float) or current is None:  # rho, rho_tilde
+            return _to_float(key, value)
         if isinstance(current, tuple):  # ebn0_db
-            try:
-                return _parse_float_list(text)
-            except ValueError as exc:
-                raise ConfigError(f"bad list for {key!r}: {text!r}") from exc
-        try:
-            if isinstance(current, bool):
-                if text.lower() in ("1", "true", "yes", "on"):
-                    return True
-                if text.lower() in ("0", "false", "no", "off"):
-                    return False
-                raise ValueError(text)
-            if isinstance(current, int):
-                return int(text)
-            if isinstance(current, float) or current is None:  # rho, rho_tilde
-                return float(text)
-            return text
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse {key}={text!r}") from exc
+            return _to_float_tuple(key, value)
+        return _to_str(key, value)

@@ -175,6 +175,13 @@ class Constellation:
     ``re_bounds``/``im_bounds`` are the midpoints between adjacent levels,
     and ``grid_bits[r, i]`` holds the label bits of the point on real level
     ``r`` and imaginary level ``i`` (levels in ascending order).
+
+    ``thresholds`` is the sorted union of the two rails' bounds.  A sample
+    lying above the first ``u`` of them lies above exactly the rail's bounds
+    among those ``u``, so a rail's level is a lookup on ``u``;
+    ``decision_bits[u_re * (len(thresholds) + 1) + u_im]`` holds the label
+    bits of the point those two lookups name.  On a square grid both rails
+    share their bounds and ``decision_bits`` is ``grid_bits`` flattened.
     """
 
     kind: str
@@ -183,6 +190,8 @@ class Constellation:
     re_bounds: np.ndarray = field(init=False, repr=False, compare=False)
     im_bounds: np.ndarray = field(init=False, repr=False, compare=False)
     grid_bits: np.ndarray = field(init=False, repr=False, compare=False)
+    thresholds: np.ndarray = field(init=False, repr=False, compare=False)
+    decision_bits: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = _as_complex(self.points)
@@ -199,9 +208,21 @@ class Constellation:
         if grid.size != pts.size or np.any(grid < 0):
             raise ValueError(f"{self.kind} points do not form a product grid")
         shifts = np.arange(self.bits_per_symbol - 1, -1, -1)
-        object.__setattr__(self, "re_bounds", (re_levels[:-1] + re_levels[1:]) / 2.0)
-        object.__setattr__(self, "im_bounds", (im_levels[:-1] + im_levels[1:]) / 2.0)
-        object.__setattr__(self, "grid_bits", ((grid[..., None] >> shifts) & 1).astype(np.int8))
+        re_bounds = (re_levels[:-1] + re_levels[1:]) / 2.0
+        im_bounds = (im_levels[:-1] + im_levels[1:]) / 2.0
+        grid_bits = ((grid[..., None] >> shifts) & 1).astype(np.int8)
+        # not np.union1d: its np.unique call imports numpy.ma, ~15 ms at start-up
+        thresholds = np.array(sorted({*re_bounds.tolist(), *im_bounds.tolist()}))
+        re_level, im_level = (
+            np.concatenate([[0], np.cumsum(np.isin(thresholds, bounds))])
+            for bounds in (re_bounds, im_bounds)
+        )
+        decision_bits = grid_bits[np.ix_(re_level, im_level)]
+        object.__setattr__(self, "re_bounds", re_bounds)
+        object.__setattr__(self, "im_bounds", im_bounds)
+        object.__setattr__(self, "grid_bits", grid_bits)
+        object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "decision_bits", decision_bits.reshape(-1, self.bits_per_symbol))
 
     @classmethod
     def qpsk(cls) -> "Constellation":
@@ -256,15 +277,22 @@ def demap_bits(c, const: Constellation, plan: CarrierPlan) -> np.ndarray:
     ``np.searchsorted(bounds, v)`` for every finite ``v``.  A sample exactly
     on a threshold therefore takes the lower level; either neighbour is at
     the minimum distance.
+
+    Both rails are counted together, over the interleaved (real,
+    imaginary) samples, one pass per entry of ``thresholds``, and the two
+    counts index ``decision_bits`` (see :class:`Constellation`).  Counts
+    and index are kept in the smallest unsigned type that holds every index.
     """
-    data = _as_complex(c)[..., plan.data_idx]
+    data = np.ascontiguousarray(_as_complex(c)[..., plan.data_idx])
+    rails = data.view(np.float64).reshape(data.shape + (2,))
+    n = const.thresholds.size + 1
+    dtype = np.min_scalar_type(n * n - 1)
+    counts = np.zeros(rails.shape, dtype=dtype)
+    above = np.empty(rails.shape, dtype=bool)
+    for bound in const.thresholds:
+        counts += np.greater(rails, bound, out=above)
+    idx = counts[..., 0] * dtype.type(n)
+    idx += counts[..., 1]
     k = const.bits_per_symbol
-    # flat grid index: real level * (number of imaginary levels) + imaginary level
-    idx = np.zeros(data.shape, dtype=np.intp)
-    for bound in const.re_bounds:
-        idx += data.real > bound
-    idx *= const.im_bounds.size + 1
-    for bound in const.im_bounds:
-        idx += data.imag > bound
-    bits = np.take(const.grid_bits.reshape(-1, k), idx, axis=0)
+    bits = np.take(const.decision_bits, idx, axis=0)
     return bits.reshape(bits.shape[:-2] + (plan.n_data * k,))

@@ -150,10 +150,15 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """The generator seeded by one row of :func:`seed_table`."""
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
 def _streams(seed: int, lo: int, hi: int, *key: int):
     """Generators of the streams ``(seed, i, *key)``, ``i = lo..hi-1``, in order."""
     for words in seed_table(seed, lo, hi, *key):
-        yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
+        yield _generator(words)
 
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:
@@ -427,14 +432,15 @@ def run_ber(cfg: ExperimentConfig):
     The link stage runs in the same row blocks, on the calling thread at any
     ``cfg.workers`` (its noise draws trade the GIL row by row, so a second
     thread only adds CPU), and reads only ``clean``, the
-    ``(n_solvers, n_symbols, N)`` noiseless spectra.  For each Eb/N0 point a
-    block draws the unit noise once (one stream per symbol) and transforms
-    and equalizes it once.  Every solver's received spectrum is then one
-    broadcast ``clean + s_k * F(unit) / H``, with ``s_k`` that solver's
-    noise scale, and one :func:`dsp.demap_bits` call decides all solvers'
-    rows.  The integer error counts of the blocks add up to the same totals
-    for any block layout.  Rows come out solver by solver, each over the
-    Eb/N0 grid.
+    ``(n_solvers, n_symbols, N)`` noiseless spectra.  The noise streams of
+    each Eb/N0 point are seeded once for the whole batch.  For each point a
+    block draws the unit noise once (one stream per symbol), into buffers it
+    reuses across points, and transforms and equalizes it once.  Every
+    solver's received spectrum is then one broadcast
+    ``clean + s_k * F(unit) / H``, with ``s_k`` that solver's noise scale,
+    and one :func:`dsp.demap_bits` call decides all solvers' rows.  The
+    integer error counts of the blocks add up to the same totals for any
+    block layout.  Rows come out solver by solver, each over the Eb/N0 grid.
     """
     plan, const, bits, c_o = _symbols(cfg, cfg.n_symbols)
     n_solvers, n_points = len(SOLVERS), len(cfg.ebn0_db)
@@ -464,16 +470,19 @@ def run_ber(cfg: ExperimentConfig):
             np.sqrt(noise_variance_per_sample(e, eb, n_samples) / 2.0) for e in cfg.ebn0_db
         ]
 
+    seeds = [_noise_seeds(cfg.seed, int(round(e * 1000)), 0, cfg.n_symbols) for e in cfg.ebn0_db]
+
     def link_block(lo, hi):
         n_rows = hi - lo
+        rails = np.empty((n_rows, 2, n_samples))
+        noise = np.empty((n_rows, n_samples), dtype=np.complex128)
         received = np.empty((n_solvers, n_rows, cfg.n_carriers), dtype=np.complex128)
         errors = np.zeros((n_solvers, n_points), dtype=np.int64)
-        for j, ebn0 in enumerate(cfg.ebn0_db):
-            noise = _unit_noise(cfg, (n_rows, n_samples), int(round(ebn0 * 1000)), lo)
-            noise = dsp.fft_oversampled(noise, cfg.oversample)
+        for j, table in enumerate(seeds):
+            spectrum = dsp.fft_oversampled(_unit_noise(table[lo:hi], rails, noise), cfg.oversample)
             if multipath:
-                noise = equalize_zero_forcing(noise, resp)
-            np.multiply(scales[:, j, None, None], noise, out=received)
+                spectrum = equalize_zero_forcing(spectrum, resp)
+            np.multiply(scales[:, j, None, None], spectrum, out=received)
             received += clean[:, lo:hi]
             decided = dsp.demap_bits(received.reshape(-1, cfg.n_carriers), const, plan)
             for k, rx_bits in enumerate(decided.reshape(n_solvers, n_rows, -1)):
@@ -495,27 +504,33 @@ def run_ber(cfg: ExperimentConfig):
     return rows
 
 
-def _unit_noise(cfg, shape, ebn0_key, first_row=0) -> np.ndarray:
-    """Complex noise with standard normal rails, one stream per symbol index.
+def _noise_seeds(seed: int, ebn0_key: int, lo: int, hi: int) -> np.ndarray:
+    """:func:`seed_table` rows ``lo..hi-1`` of the noise streams of one Eb/N0 point.
 
-    Row ``r`` is symbol ``first_row + r`` and takes ``2 * shape[1]``
-    standard normals from its stream: the first half is the real part, the
-    second the imaginary part.  Scaled by ``sqrt(var / 2)`` it is noise of
-    per-sample variance ``var``.  ``ebn0_key`` is ``round(1000 * ebn0_db)``;
-    a negative key draws from a stage of its own.
+    ``ebn0_key`` is ``round(1000 * ebn0_db)``; a negative key seeds from a
+    stage of its own, keyed by its magnitude.
     """
     if ebn0_key >= 0:
-        stage = (_NOISE_STAGE, ebn0_key)
-    else:
-        stage = (_NEGATIVE_NOISE_STAGE, -ebn0_key)
-    n_rows, n_samples = shape
-    rails = np.empty((n_rows, 2, n_samples))
-    for out, rng in zip(rails, _streams(cfg.seed, first_row, first_row + n_rows, *stage)):
-        rng.standard_normal(out=out)
-    noise = np.empty(shape, dtype=np.complex128)
-    noise.real = rails[:, 0]
-    noise.imag = rails[:, 1]
-    return noise
+        return seed_table(seed, lo, hi, _NOISE_STAGE, ebn0_key)
+    return seed_table(seed, lo, hi, _NEGATIVE_NOISE_STAGE, -ebn0_key)
+
+
+def _unit_noise(seeds, rails, out) -> np.ndarray:
+    """Complex noise with standard normal rails, one stream per row, drawn into ``out``.
+
+    Row ``r`` comes from the stream that ``seeds[r]`` (a row of
+    :func:`_noise_seeds`) seeds, and takes ``2 * n_samples`` standard
+    normals from it into ``rails[r]`` (float, ``(n_rows, 2, n_samples)``):
+    the first half is the real part of ``out[r]`` (complex,
+    ``(n_rows, n_samples)``), the second the imaginary part.  Scaled by
+    ``sqrt(var / 2)`` it is noise of per-sample variance ``var``.  A caller
+    that draws block after block passes the same two buffers every time.
+    """
+    for row, words in zip(rails, seeds):
+        _generator(words).standard_normal(out=row)
+    out.real = rails[:, 0]
+    out.imag = rails[:, 1]
+    return out
 
 
 def run_psd(cfg: ExperimentConfig):

@@ -15,13 +15,21 @@ from .params import db_to_linear
 RCF_PASSES = 10
 
 
-def clip(x, amplitude) -> np.ndarray:
-    """Polar soft clip: magnitudes capped at ``amplitude``, phase preserved."""
+def clip(x, amplitude, mag=None, out=None) -> np.ndarray:
+    """Polar soft clip: magnitudes capped at ``amplitude``, phase preserved.
+
+    ``mag`` is ``np.abs(x)`` when the caller holds it already; ``out`` takes
+    the result (``out=x`` clips in place).  A zero sample stays zero, also
+    at a zero amplitude: its scale ``fmin(1, amplitude / 0)`` is 1, since
+    ``fmin`` passes over the NaN of ``0 / 0``.
+    """
     x = dsp._as_complex(x)
     amplitude = np.asarray(amplitude, dtype=float)
-    mag = np.abs(x)
-    scale = np.minimum(1.0, amplitude[..., None] / np.where(mag > 0, mag, 1.0))
-    return x * scale
+    if mag is None:
+        mag = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.divide(amplitude[..., None], mag)
+    return np.multiply(x, np.fmin(1.0, scale, out=scale), out=out)
 
 
 def rcf(c_o, plan: dsp.CarrierPlan, target_papr_db: float, oversample: int) -> np.ndarray:
@@ -37,8 +45,9 @@ def rcf(c_o, plan: dsp.CarrierPlan, target_papr_db: float, oversample: int) -> n
     target = db_to_linear(target_papr_db)
     for _ in range(RCF_PASSES):
         x = dsp.ifft_oversampled(c, oversample)
-        mean_power = np.mean(np.abs(x) ** 2, axis=-1)
-        x = clip(x, np.sqrt(target * mean_power))
+        mag = np.abs(x)
+        mean_power = np.mean(mag**2, axis=-1)
+        clip(x, np.sqrt(target * mean_power), mag, out=x)
         c = dsp.fft_oversampled(x, oversample)
         c[..., plan.free_idx] = 0.0
     out = dsp.ifft_oversampled(c, oversample)

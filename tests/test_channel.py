@@ -23,6 +23,7 @@ from papradmm.config import ExperimentConfig
 from papradmm.experiments import (
     _NEGATIVE_NOISE_STAGE,
     _NOISE_STAGE,
+    _noise_seeds,
     _streams,
     _unit_noise,
     rng_for,
@@ -83,16 +84,23 @@ class TestSspa:
         )
 
 
+def unit_noise(seed, key, lo, hi, n_samples):
+    """``_unit_noise`` of rows ``lo..hi-1`` at Eb/N0 key ``key``, into fresh buffers."""
+    rails = np.empty((hi - lo, 2, n_samples))
+    out = np.empty((hi - lo, n_samples), dtype=np.complex128)
+    return _unit_noise(_noise_seeds(seed, key, lo, hi), rails, out)
+
+
 class TestAwgn:
     """The drivers' receiver noise, ``experiments._unit_noise`` scaled by sqrt(var/2)."""
 
     def test_zero_noise_is_identity(self):
         x = np.ones((2, 16), dtype=complex)
-        noise = _unit_noise(ExperimentConfig(seed=0), x.shape, 0) * np.sqrt(0.0 / 2.0)
+        noise = unit_noise(0, 0, 0, 2, 16) * np.sqrt(0.0 / 2.0)
         assert np.array_equal(x + noise, x)
 
     def test_empirical_variance(self):
-        noise = _unit_noise(ExperimentConfig(seed=1), (1000, 1000), 0) * np.sqrt(0.25 / 2.0)
+        noise = unit_noise(1, 0, 0, 1000, 1000) * np.sqrt(0.25 / 2.0)
         measured = np.mean(np.abs(noise) ** 2)
         assert measured == pytest.approx(0.25, rel=0.02)
 
@@ -105,7 +113,7 @@ class TestAwgn:
         for i in range(shape[0]):
             block = rng_for(cfg.seed, i, _NOISE_STAGE, key).normal(scale=scale, size=(2, shape[1]))
             want[i] = block[0] + 1j * block[1]
-        assert np.array_equal(_unit_noise(cfg, shape, key) * scale, want)
+        assert np.array_equal(unit_noise(cfg.seed, key, 0, *shape) * scale, want)
 
     @pytest.mark.parametrize("key", [0, 6000, -2000])
     def test_unit_noise_is_the_two_rails_as_one_complex_array(self, key):
@@ -115,9 +123,14 @@ class TestAwgn:
         rails = np.empty((hi - lo, 2, n_samples))
         for row, rng in zip(rails, _streams(cfg.seed, lo, hi, *stage)):
             rng.standard_normal(out=row)
-        got = _unit_noise(cfg, (hi - lo, n_samples), key, lo)
+        got = unit_noise(cfg.seed, key, lo, hi, n_samples)
         assert got.dtype == np.complex128 and got.flags.c_contiguous
         assert np.array_equal(got, rails[:, 0] + 1j * rails[:, 1])
+        # the same rows drawn into buffers that held another draw
+        buffers = (np.empty_like(rails), np.empty_like(got))
+        _unit_noise(_noise_seeds(cfg.seed + 1, key, lo, hi), *buffers)
+        again = _unit_noise(_noise_seeds(cfg.seed, key, lo, hi), *buffers)
+        assert again is buffers[1] and np.array_equal(again, got)
 
     def test_qpsk_ber_matches_q_function(self):
         rng = np.random.default_rng(2)
@@ -130,7 +143,7 @@ class TestAwgn:
         cfg = ExperimentConfig(seed=2)
         for ebn0_db in (4.0, 6.0):
             var = noise_variance_per_sample(ebn0_db, eb, 256)
-            rx = x + _unit_noise(cfg, x.shape, int(ebn0_db * 1000)) * np.sqrt(var / 2.0)
+            rx = x + unit_noise(cfg.seed, int(ebn0_db * 1000), 0, *x.shape) * np.sqrt(var / 2.0)
             got = demap_bits(fft_oversampled(rx, 4), const, PLAN)
             n_err = int(np.sum(got != bits))
             n_bits = bits.size

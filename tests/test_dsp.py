@@ -327,7 +327,7 @@ class TestPerRailDemap:
         # each rail counts the thresholds it lies above; that must be the
         # searchsorted index at and one ulp either side of every threshold
         const = Constellation.from_name(name)
-        rail = [-10.0, -0.0, 0.0, 10.0]
+        rail = [-np.inf, -1e300, -10.0, -0.0, 0.0, 10.0, 1e300, np.inf]
         for b in np.union1d(const.re_bounds, const.im_bounds):
             rail += [np.nextafter(b, -np.inf), b, np.nextafter(b, np.inf)]
         re, im = (a.ravel() for a in np.meshgrid(rail, rail))
@@ -348,6 +348,20 @@ class TestPerRailDemap:
         got = demap_bits(c, const, plan)
         assert got.shape == (3, 5, plan.n_data * 4) and got.dtype == np.int8
         assert np.array_equal(got, oracle_demap(c, const, plan))
+
+    @pytest.mark.parametrize("n_re", [4, 2])
+    def test_rectangular_grid_matches_oracle(self, n_re):
+        # rails with different thresholds: four levels on one, two on the other
+        four, two = [-3.0, -1.0, 1.0, 3.0], [-1.0, 1.0]
+        re, im = np.meshgrid(*((four, two) if n_re == 4 else (two, four)), indexing="ij")
+        points = (re + 1j * im).ravel()
+        const = Constellation("8qam", 3, points / np.sqrt(np.mean(np.abs(points) ** 2)))
+        rng = np.random.default_rng(11)
+        values = rng.normal(scale=1.5, size=200) + 1j * rng.normal(scale=1.5, size=200)
+        assert not assert_matches_oracle(values, const).any()
+        re_bounds, im_bounds = decision_boundaries(const)
+        edges = [complex(b, y) for b in re_bounds for y in im_bounds]
+        assert assert_matches_oracle(edges, const).all()
 
     def test_non_grid_constellation_rejected(self):
         eight_psk = np.exp(2j * np.pi * np.arange(8) / 8)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import os
 import subprocess
@@ -26,6 +27,25 @@ def _batch(cfg, n_symbols):
     const = dsp.Constellation.from_name(cfg.constellation)
     bits = experiments.generate_bits(cfg, n_symbols, const, plan)
     return dsp.map_bits(bits, const, plan), plan
+
+
+# The type of every ExperimentConfig key, and values of other types it rejects
+FIELD_KINDS = {
+    "n_carriers": "int", "n_free": "int", "oversample": "int", "n_symbols": "int",
+    "iterations": "int", "seed": "int", "workers": "int",
+    "alpha_db": "float", "beta": "float", "rho": "float", "rho_tilde": "float",
+    "ebn0_db": "tuple", "pa_enabled": "bool",
+    "constellation": "str", "channel": "str", "out_dir": "str",
+}
+WRONG_VALUES = {
+    "int": (2.5, 2.0, True, "2.5", [2], 1j),
+    "float": (True, "fast", [1.0], 1j, object()),
+    "tuple": (
+        5.0, 5, "4 x", [4.0, "8"], [True], [[4.0, 8.0]], np.ones((2, 2)), np.array(5.0), {4.0: 8.0}
+    ),
+    "bool": (0.5, 1, "maybe", [True]),
+    "str": (16, 1.5, ["qpsk"], b"qpsk"),
+}
 
 
 class TestConfig:
@@ -94,6 +114,43 @@ class TestConfig:
         cfg = ExperimentConfig().with_overrides(oversample=np.int64(2), n_symbols=np.int32(20))
         assert (cfg.oversample, cfg.n_symbols) == (2, 20)
         assert type(cfg.oversample) is int and type(cfg.n_symbols) is int
+
+    def test_every_key_has_a_type_check(self):
+        # a new field fails here until FIELD_KINDS, and so the tests below, cover it
+        names = {f.name for f in dataclasses.fields(ExperimentConfig) if not f.name.startswith("_")}
+        assert set(FIELD_KINDS) == names
+
+    @pytest.mark.parametrize("kind", sorted(set(FIELD_KINDS.values())))
+    def test_wrong_type_names_its_key(self, kind):
+        for key in (k for k, v in FIELD_KINDS.items() if v == kind):
+            for value in WRONG_VALUES[kind]:
+                with pytest.raises(ConfigError, match=key):
+                    ExperimentConfig().with_overrides(**{key: value})
+
+    def test_integer_keys(self):
+        cfg = ExperimentConfig().with_overrides(seed=" 7 ", workers=np.uint8(2))
+        assert (cfg.seed, cfg.workers) == (7, 2) and type(cfg.workers) is int
+
+    def test_float_keys(self):
+        cfg = ExperimentConfig().with_overrides(alpha_db=5, beta=np.float32(0.5), rho="400")
+        assert (cfg.alpha_db, cfg.beta, cfg.rho) == (5.0, 0.5, 400.0)
+        assert all(type(v) is float for v in (cfg.alpha_db, cfg.beta, cfg.rho))
+
+    @pytest.mark.parametrize("value", [[4, 8.5], (4, 8.5), [np.int64(4), np.float64(8.5)], "4, 8.5"])
+    def test_tuple_key_takes_numbers_or_their_string(self, value):
+        assert ExperimentConfig().with_overrides(ebn0_db=value).ebn0_db == (4.0, 8.5)
+
+    def test_tuple_key_checks_finiteness(self):
+        with pytest.raises(ConfigError, match="ebn0_db must be finite"):
+            ExperimentConfig().with_overrides(ebn0_db=[4.0, float("inf")])
+
+    @pytest.mark.parametrize("value,want", [(False, False), (True, True), ("off", False)])
+    def test_bool_key(self, value, want):
+        assert ExperimentConfig().with_overrides(pa_enabled=value).pa_enabled is want
+
+    def test_string_keys(self):
+        cfg = ExperimentConfig().with_overrides(constellation="qpsk", out_dir=" out ")
+        assert (cfg.constellation, cfg.out_dir) == ("qpsk", "out")
 
 
 class TestDeterminism:
@@ -343,8 +400,11 @@ class TestCli:
             rows[name] = (out / "ber.csv").read_text().splitlines()
         assert [r for r in rows["with"] if r.split(",")[2] != "-2"] == rows["without"]
         assert len(rows["with"]) == 1 + 4 * 3
-        cfg = ExperimentConfig(seed=3)
-        minus, plus = (experiments._unit_noise(cfg, (2, 16), k) for k in (-2000, 2000))
+        buffers = (np.empty((2, 2, 16)), np.empty((2, 16), dtype=complex))
+        minus, plus = (
+            experiments._unit_noise(experiments._noise_seeds(3, k, 0, 2), *buffers).copy()
+            for k in (-2000, 2000)
+        )
         assert not np.any(minus == plus)
 
     def test_empty_ebn0_grid_exit_code(self, tmp_path, capsys):

@@ -53,3 +53,19 @@ def test_driver_csvs_keep_their_bytes(run, seed, tmp_path, capsys):
     }
     want = {name: digest for (s, r, name), digest in DIGESTS.items() if (s, r) == (seed, run)}
     assert got == want
+
+
+# ber.csv of 200 symbols at seed 7, one digest per channel for every worker count
+BER_SEED_7 = {
+    "awgn": "17c56f35c47d4272c1b372c717dbe46f3c9ab10d0e1a63b048bbfc1c86cd5de6",
+    "multipath": "4245cc3f3f6a6da088090db0ebd66af600a8c3b45d0843332d1610008abe2ad9",
+}
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("channel", BER_SEED_7)
+def test_ber_csv_keeps_its_bytes_at_seed_7(channel, workers, tmp_path, capsys):
+    argv = ["ber", "--symbols", "200", "--channel", channel, "--workers", str(workers)]
+    assert cli.main(argv + ["--seed", "7", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "ber.csv").read_bytes()).hexdigest()
+    assert digest == BER_SEED_7[channel]
