@@ -143,8 +143,11 @@ class CarrierPlan:
         if not 0 < n_free < n_carriers:
             raise ValueError("n_free must be in 1..n_carriers-1")
         free = np.r_[0, np.arange(n_carriers - (n_free - 1), n_carriers)]
-        data = np.setdiff1d(np.arange(n_carriers), free)
-        return cls(n_carriers=n_carriers, data_idx=data, free_idx=free)
+        # a mask, not np.setdiff1d, whose np.unique imports numpy.ma (~13 ms
+        # and ~1 MB of RSS per process)
+        is_data = np.ones(n_carriers, dtype=bool)
+        is_data[free] = False
+        return cls(n_carriers=n_carriers, data_idx=np.flatnonzero(is_data), free_idx=free)
 
 
 def _gray_to_binary(g: np.ndarray) -> np.ndarray:

@@ -59,11 +59,13 @@ BENCH_REPEATS = 5
 # 512 KB per complex array).  Both engines update their state in place, so
 # one block's working set peaks at about 5.8 MB for the relaxed engine and
 # 4.3 MB for the direct one (tracemalloc, 5 sweeps; tests/test_sweep.py pins
-# 6.2 and 4.6 MB).  That is below glibc's heap-trim threshold, twice the
-# largest freed mmapped chunk (~8 MB once a 4 MB batch output is freed), so
+# 6.2 and 4.6 MB).  That is below glibc's heap-trim threshold, which is
+# twice the largest mmapped chunk freed so far: the batch x that every solve
+# allocates and frees (4 MB at 1000 symbols) lifts it to ~8 MB, so
 # block-sized arrays are reused from the allocator's free lists rather than
 # handed back to the OS and faulted in again, and the working set is per
-# block, not per batch.
+# block, not per batch.  That is why run_table2, which reads only c, still
+# has solve_batch build x.
 BLOCK_SAMPLES = 2**15
 
 
@@ -329,7 +331,9 @@ def run_table2(cfg: ExperimentConfig):
       so a re-solved subset gets the bits of the full batch.
 
     When every row is flagged, the whole batch is solved as it stands, with
-    no gather and no scatter.
+    no gather and no scatter.  Each solve's ``x`` is freed as the solve
+    returns, and the previous beta's ``c`` before a full re-solve, so no
+    other solve's batch is alive during a solve.
     """
     plan, _, _, c_o = _symbols(cfg, cfg.n_symbols)
     rows = [("solver", "beta", "evm_db")]
@@ -337,24 +341,29 @@ def run_table2(cfg: ExperimentConfig):
         c = fcpo_active = None
         for beta in BETA_GRID:
             if fcpo_active is None or fcpo_active.all():
-                _, c, fcpo_active = solve_batch(cfg, solver, c_o, plan, beta=beta)
+                c = None
+                c, fcpo_active = solve_batch(cfg, solver, c_o, plan, beta=beta)[1:]
             else:
                 redo = np.flatnonzero(fcpo_active)
-                _, c[redo], fcpo_active[redo] = solve_batch(
+                c[redo], fcpo_active[redo] = solve_batch(
                     cfg, solver, c_o[redo], plan, beta=beta
-                )
+                )[1:]
             value = metrics.evm_db(c, c_o, plan)
             rows.append((solver, float(beta), round(value, 4)))
     return rows
 
 
 def run_ccdf(cfg: ExperimentConfig):
-    """PAPR exceedance curves for the original signal and each solver."""
+    """PAPR exceedance curves for the original signal and each solver.
+
+    Each solver's ``x`` is freed once its PAPRs are taken, before the next
+    solve starts.
+    """
     plan, _, _, c_o = _symbols(cfg, cfg.n_symbols)
     rows = [("solver", "threshold_db", "ccdf")]
     for solver in SOLVERS:
-        x = solve_batch(cfg, solver, c_o, plan)[0]
-        curve = metrics.ccdf(dsp.papr_db(x), CCDF_THRESHOLDS_DB)
+        papr = dsp.papr_db(solve_batch(cfg, solver, c_o, plan)[0])
+        curve = metrics.ccdf(papr, CCDF_THRESHOLDS_DB)
         label = "original" if solver == "none" else solver
         for t, p in zip(CCDF_THRESHOLDS_DB, curve):
             rows.append((label, round(float(t), 4), float(p)))
@@ -534,7 +543,13 @@ def _unit_noise(seeds, rails, out) -> np.ndarray:
 
 
 def run_psd(cfg: ExperimentConfig):
-    """Emission spectra after the PA, one curve per solver, peak at 0 dB."""
+    """Emission spectra after the PA, one curve per solver, peak at 0 dB.
+
+    The amplifier's saturation amplitude is the mean over the solver's whole
+    batch, as in :func:`channel.sspa`; the batch is then amplified in place,
+    row block by row block, and freed once its spectrum is taken, before the
+    next solve starts.
+    """
     n_symbols = min(cfg.n_symbols, 1000)
     n_samples = n_symbols * cfg.oversample * cfg.n_carriers
     if n_samples < PSD_SEG_LEN:
@@ -547,8 +562,14 @@ def run_psd(cfg: ExperimentConfig):
     for solver in SOLVERS:
         x = solve_batch(cfg, solver, c_o, plan)[0]
         if cfg.pa_enabled:
-            x = sspa(x)
+            a_sat = saturation_amplitude(x)
+
+            def amplify_block(lo, hi):
+                x[lo:hi] = sspa(x[lo:hi], a_sat=a_sat)
+
+            _run_blocks(cfg, n_symbols, x.shape[1], amplify_block)
         freqs, pxx = metrics.psd(x.ravel(), seg_len=PSD_SEG_LEN)
+        del x
         pxx = pxx / pxx.max()
         label = "original" if solver == "none" else solver
         # frequency axis in carrier spacings: sample rate is oversample*N spacings

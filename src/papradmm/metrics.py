@@ -6,6 +6,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dsp
 
+# Welch segments transformed at a time by psd (1 MB of windowed segments at
+# seg_len 1024)
+PSD_CHUNK_SEGMENTS = 64
+
 
 def evm_db(c, c_o, plan: dsp.CarrierPlan) -> float:
     """RMS data-carrier distortion of a batch, in dB.
@@ -43,6 +47,12 @@ def psd(x, seg_len: int):
     scaled by ``1 / sum(w**2)`` (unit sample rate).  Returns ``(freqs,
     pxx)`` two-sided and centred (ascending frequency, in cycles per
     sample).
+
+    The segments are transformed ``PSD_CHUNK_SEGMENTS`` at a time, and each
+    segment's periodogram is added into one running total in segment order,
+    which is the order in which ``np.mean(axis=0)`` sums the rows of one
+    array of all of them: the result keeps its bits, and only one chunk of
+    segments is alive at a time.
     """
     x = np.asarray(x).ravel()
     if x.size < seg_len:
@@ -50,8 +60,12 @@ def psd(x, seg_len: int):
     w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg_len) / seg_len)
     step = seg_len - seg_len // 2
     segments = sliding_window_view(x, seg_len)[::step]
-    spectra = np.fft.fft(segments * w, axis=-1)
-    pxx = np.fft.fftshift(np.mean(np.abs(spectra) ** 2, axis=0)) / np.sum(w * w)
+    total = np.zeros(seg_len)
+    for lo in range(0, len(segments), PSD_CHUNK_SEGMENTS):
+        spectra = np.fft.fft(segments[lo : lo + PSD_CHUNK_SEGMENTS] * w, axis=-1)
+        for power in np.abs(spectra) ** 2:
+            total += power
+    pxx = np.fft.fftshift(total / len(segments)) / np.sum(w * w)
     freqs = np.fft.fftshift(np.fft.fftfreq(seg_len))
     return freqs, pxx
 

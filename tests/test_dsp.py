@@ -170,6 +170,17 @@ class TestCarrierPlan:
         assert plan.free_idx[0] == 0
         assert list(plan.free_idx[1:]) == list(range(53, 64))
 
+    @pytest.mark.parametrize("n_carriers", [2, 3, 8, 64, 256])
+    def test_default_data_idx_matches_setdiff1d(self, n_carriers):
+        # the set difference the boolean mask replaced, as the oracle
+        for n_free in range(1, n_carriers):
+            plan = CarrierPlan.default(n_carriers, n_free)
+            free = np.r_[0, np.arange(n_carriers - (n_free - 1), n_carriers)]
+            want = np.setdiff1d(np.arange(n_carriers), free)
+            assert np.array_equal(plan.free_idx, free)
+            assert plan.data_idx.dtype == want.dtype
+            assert np.array_equal(plan.data_idx, want)
+
     def test_overlapping_sets_rejected(self):
         with pytest.raises(ValueError):
             CarrierPlan(4, data_idx=[0, 1, 2], free_idx=[2, 3])

@@ -731,23 +731,6 @@ class TestBerLinkStage:
         assert demap_shapes and all(len(shape) == 2 for shape in demap_shapes)
         assert sum(shape[0] for shape in demap_shapes) == cfg.n_symbols * n_solvers * n_points
 
-    def test_one_time_domain_batch_alive(self, monkeypatch):
-        refs = []
-        solve_batch = experiments.solve_batch
-
-        def tracking_solve_batch(*args, **kwargs):
-            gc.collect()
-            # the previous solver's x is gone before the next solve starts
-            assert all(ref() is None for ref in refs), len(refs)
-            x, c, active = solve_batch(*args, **kwargs)
-            refs.append(weakref.ref(x))
-            return x, c, active
-
-        monkeypatch.setattr(experiments, "solve_batch", tracking_solve_batch)
-        cfg = ExperimentConfig().with_overrides(n_symbols=16, iterations=2, channel="multipath")
-        experiments.run_ber(cfg)
-        assert len(refs) == len(experiments.SOLVERS)
-
     def test_traced_peak_bounded(self):
         # 300 multipath symbols on one thread peaked at 9.54 MB while every
         # solver's time-domain batch stayed alive through the link stage
@@ -794,6 +777,55 @@ def test_driver_rows_independent_of_workers(driver):
     assert 2 * experiments.BLOCK_SAMPLES < 300 * cfg.oversample * cfg.n_carriers
     run = getattr(experiments, driver)
     assert run(cfg.with_overrides(workers=2)) == run(cfg.with_overrides(workers=1))
+
+
+@pytest.mark.parametrize("driver", ["run_table2", "run_ccdf", "run_psd", "run_ber"])
+def test_one_time_domain_batch_alive(driver, monkeypatch):
+    batch_refs, c_refs = [], []
+    solve_batch, sspa = experiments.solve_batch, experiments.sspa
+    cfg = ExperimentConfig().with_overrides(n_symbols=16, iterations=2, channel="multipath")
+
+    def tracking_solve_batch(cfg_, solver, c_o, plan, beta=None):
+        gc.collect()
+        # every earlier solve's x, and every amplified signal, is gone before
+        # the next solve starts, and every earlier c before a solve of the
+        # whole batch
+        assert all(ref() is None for ref in batch_refs), len(batch_refs)
+        if len(c_o) == cfg.n_symbols:
+            assert all(ref() is None for ref in c_refs), len(c_refs)
+        x, c, active = solve_batch(cfg_, solver, c_o, plan, beta)
+        batch_refs.append(weakref.ref(x))
+        c_refs.append(weakref.ref(c))
+        return x, c, active
+
+    def tracking_sspa(x, a_sat=None):
+        out = sspa(x, a_sat)
+        batch_refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(experiments, "solve_batch", tracking_solve_batch)
+    monkeypatch.setattr(experiments, "sspa", tracking_sspa)
+    getattr(experiments, driver)(cfg)
+    solves = 2 * len(experiments.BETA_GRID) if driver == "run_table2" else len(experiments.SOLVERS)
+    assert len(c_refs) == solves
+
+
+@pytest.mark.parametrize("driver", ["run_table2", "run_ccdf", "run_psd"])
+def test_driver_traced_peak_bounded(driver):
+    # 300 symbols on one thread peaked at 6.46 (table2), 6.48 (ccdf) and
+    # 6.60 MB (psd), against 7.94, 7.71 and 7.82 MB while the previous
+    # solve's x stayed alive through the next solve (and psd transformed all
+    # 149 Welch segments at once); the pin is 0.4 MB above the highest
+    run = getattr(experiments, driver)
+    cfg = ExperimentConfig().with_overrides(n_symbols=300, workers=1)
+    run(cfg.with_overrides(n_symbols=8))
+    tracemalloc.start()
+    try:
+        run(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.0e6, peak
 
 
 def test_beta_grid_ascends():
@@ -868,6 +900,26 @@ class TestBench:
         r_sq, slope = experiments.loglog_fit(sizes, times)
         assert r_sq == pytest.approx(1.0)
         assert slope == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("command", ["table2", "ber"])
+def test_driver_run_loads_no_numpy_ma(command, tmp_path):
+    # np.setdiff1d imports numpy.ma through np.unique; CarrierPlan.default
+    # builds its data carriers without it
+    import papradmm
+
+    src = str(Path(papradmm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys; from papradmm.cli import main; "
+        f"assert main([{command!r}, '--symbols', '4', '--iters', '2', '--out', sys.argv[1]]) == 0; "
+        "print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_import_loads_no_scipy():

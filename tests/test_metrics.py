@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal
 
 from papradmm import CarrierPlan, MetricAccumulator, ccdf, evm_db, psd
+from papradmm.metrics import PSD_CHUNK_SEGMENTS
 
 PLAN = CarrierPlan.default(64, 12)
 
@@ -89,6 +91,23 @@ class TestPsd:
     def test_short_stream_rejected(self):
         with pytest.raises(ValueError):
             psd(np.ones(100), seg_len=256)
+
+    @pytest.mark.parametrize(
+        "seg_len, n_segments, tail", [(256, 1, 0), (256, 64, 0), (256, 130, 77), (1024, 499, 0)]
+    )
+    def test_chunks_keep_the_one_shot_bits(self, seg_len, n_segments, tail):
+        # the one-shot average over all segments that the chunked sum replaced
+        assert PSD_CHUNK_SEGMENTS == 64
+        step = seg_len // 2
+        n = seg_len + (n_segments - 1) * step + tail
+        rng = np.random.default_rng(n_segments)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg_len) / seg_len)
+        segments = sliding_window_view(x, seg_len)[::step]
+        assert len(segments) == n_segments
+        spectra = np.fft.fft(segments * w, axis=-1)
+        want = np.fft.fftshift(np.mean(np.abs(spectra) ** 2, axis=0)) / np.sum(w * w)
+        assert np.array_equal(psd(x, seg_len=seg_len)[1], want)
 
     @pytest.mark.parametrize("seg_len", [256, 1024])
     def test_matches_scipy_welch(self, seg_len):
