@@ -66,6 +66,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         out_dir = Path(cfg.out_dir)
+        if out_dir.exists() and not out_dir.is_dir():
+            raise ConfigError(f"output directory {out_dir} exists and is not a directory")
         if args.command == "table2":
             rows = experiments.run_table2(cfg)
             path = experiments.write_csv(out_dir / "table2.csv", rows)

@@ -7,6 +7,7 @@ return CSV rows (list of tuples, first row the header); :func:`write_csv`
 renders them with fixed formatting.
 """
 
+import functools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -140,21 +141,82 @@ def seed_table(seed: int, lo: int, hi: int, *key: int) -> np.ndarray:
     return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
 
 
-class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """One row of :func:`seed_table`, handed to ``PCG64`` as its seed."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("holds only the 4 uint64 words PCG64 asks for")
-        return self.words
+# PCG64 steps state * _PCG_MULT + inc mod 2**128 (numpy's pcg64.h); the
+# lanes of _pcg64_words jump _PCG_LANES steps: state * _PCG_JUMP + inc * _PCG_JUMP_INC
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_LANES = 8
+_PCG_JUMP = pow(_PCG_MULT, _PCG_LANES, 2**128)
+_PCG_JUMP_INC = sum(pow(_PCG_MULT, j, 2**128) for j in range(_PCG_LANES)) % 2**128
 
 
-def _generator(words: np.ndarray) -> np.random.Generator:
-    """The generator seeded by one row of :func:`seed_table`."""
-    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+def _mul_add(hi, lo, mult: int, c_hi, c_lo) -> None:
+    """``(hi, lo) = (hi, lo) * mult + (c_hi, c_lo)`` mod 2**128, in place, on uint64 halves.
+
+    The high word of ``lo * (mult % 2**64)`` is formed from 32-bit halves.
+    """
+    m_lo = np.uint64(mult & 2**64 - 1)
+    v0, v1 = np.uint64(mult & _MASK32), np.uint64(mult >> 32 & _MASK32)
+    u0, u1 = lo & _MASK32, lo >> 32
+    mid = u1 * v0 + (u0 * v0 >> 32)  # < 2**64
+    hi *= m_lo
+    hi += lo * np.uint64(mult >> 64) + u1 * v1 + (mid >> 32) + ((mid & _MASK32) + u0 * v1 >> 32)
+    lo *= m_lo
+    lo += c_lo
+    hi += c_hi
+    hi += lo < c_lo
+
+
+def _pcg64_words(seeds: np.ndarray, n_words: int) -> np.ndarray:
+    """The first ``n_words`` raw words of the PCG64 stream of each row of ``seeds``.
+
+    Row ``r`` is ``PCG64(s).random_raw(n_words)`` for the seed sequence
+    ``s`` that hands over ``seeds[r]`` (a :func:`seed_table` row).  As
+    numpy seeds it, the state starts at 0 with increment ``inc =
+    2 * seeds[r, 2:] + 1``, steps once, adds ``seeds[r, :2]`` and steps
+    again; each word then steps it and reads ``rotr64(hi ^ lo, hi >> 58)``.
+    """
+    n_rows, n_steps = len(seeds), -(-n_words // _PCG_LANES)
+    inc_hi, inc_lo = seeds[:, 2] << 1 | seeds[:, 3] >> 63, seeds[:, 3] << 1 | 1
+    hi, lo = seeds[:, 0].copy(), seeds[:, 1].copy()
+    _mul_add(hi, lo, 1, inc_hi, inc_lo)  # the zero state stepped once is inc
+    # column 0 is the seeded state, column j + 1 the state word j reads
+    lanes = np.empty((2, 1 + _PCG_LANES, n_rows), dtype=np.uint64)
+    for j in range(1 + _PCG_LANES):
+        _mul_add(hi, lo, _PCG_MULT, inc_hi, inc_lo)
+        lanes[:, j] = hi, lo
+    hi, lo = lanes[:, 1:]
+    _mul_add(inc_hi, inc_lo, _PCG_JUMP_INC, 0, 0)  # a jump's increment
+    out = np.empty((n_steps, _PCG_LANES, n_rows), dtype=np.uint64)
+    for step, word in enumerate(out):
+        if step:
+            _mul_add(hi, lo, _PCG_JUMP, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        np.bitwise_or(x >> rot, x << (-rot & 63), out=word)
+    return out.reshape(n_steps * _PCG_LANES, n_rows)[:n_words].T.copy()
+
+
+@functools.cache
+def _seed_words() -> type:
+    """The seed sequence that hands one :func:`seed_table` row to ``PCG64``.
+
+    Built once, on first use, since its base class imports ``numpy.random``.
+    """
+
+    class _SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("holds only the 4 uint64 words PCG64 asks for")
+            return self.words
+
+    return _SeedWords
+
+
+def _generator(words: np.ndarray) -> "np.random.Generator":
+    """The generator seeded by one row of :func:`seed_table` (imports ``numpy.random``)."""
+    return np.random.Generator(np.random.PCG64(_seed_words()(words)))
 
 
 def _streams(seed: int, lo: int, hi: int, *key: int):
@@ -163,11 +225,12 @@ def _streams(seed: int, lo: int, hi: int, *key: int):
         yield _generator(words)
 
 
-def rng_for(seed: int, *key: int) -> np.random.Generator:
+def rng_for(seed: int, *key: int) -> "np.random.Generator":
     """Independent generator for one (symbol, stage[, key]) stream.
 
     ``key[0]`` is the symbol.  The stream is that of
-    ``default_rng(SeedSequence(entropy=seed, spawn_key=key))``.
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=key))``.  No driver
+    calls it: of their streams only ``run_ber``'s noise needs a ``Generator``.
     """
     return next(_streams(seed, key[0], key[0] + 1, *key[1:]))
 
@@ -193,15 +256,16 @@ def generate_bits(cfg: ExperimentConfig, n_symbols: int, const, plan) -> np.ndar
     halves, low half first; for a range of 2 it never rejects and keeps the
     top bit of each half.  So row ``i`` is bits 31 and 63 of each of the
     stream's first ``ceil(n / 2)`` raw words, in that order (an odd ``n``
-    drops the last bit 63), and one ``random_raw`` call per row draws them.
+    drops the last bit 63), and :func:`_pcg64_words` computes those words
+    for all rows at once, without importing ``numpy.random``.
     """
     per_symbol = plan.n_data * const.bits_per_symbol
     n_words = -(-per_symbol // 2)
-    raw = np.empty((n_symbols, n_words), dtype=np.uint64)
-    for row, words in zip(raw, seed_table(cfg.seed, 0, n_symbols, _BITS_STAGE)):
-        row[:] = np.random.PCG64(_SeedWords(words)).random_raw(n_words)
-    bits = (raw[:, :, None] >> np.array([31, 63], dtype=np.uint64)) & np.uint64(1)
-    return bits.reshape(n_symbols, 2 * n_words)[:, :per_symbol].astype(np.int8)
+    raw = _pcg64_words(seed_table(cfg.seed, 0, n_symbols, _BITS_STAGE), n_words)
+    bits = np.empty((n_symbols, n_words, 2), dtype=np.int8)
+    bits[..., 0] = raw >> 31 & 1
+    bits[..., 1] = raw >> 63
+    return bits.reshape(n_symbols, 2 * n_words)[:, :per_symbol]
 
 
 def admm_params(
@@ -292,11 +356,14 @@ def solve_batch(cfg: ExperimentConfig, solver: str, c_o, plan, beta=None):
 
 def write_csv(path, rows):
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = []
     for row in rows:
         lines.append(",".join(_format_cell(cell) for cell in row))
-    path.write_text("\n".join(lines) + "\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
     return path
 
 

@@ -247,6 +247,44 @@ class TestGenerateBits:
             assert np.array_equal(row, rng.integers(0, 2, size=n_data)), i
 
 
+class TestPcg64Words:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70 - 1),
+        lo=st.integers(0, 2**32 - 8),
+        n_rows=st.integers(0, 8),
+        key=st.lists(st.integers(0, 2**32 - 1), max_size=3),
+        n_words=st.sampled_from([0, 1, 2, 51, 104]),
+    )
+    def test_words_are_numpys_pcg64(self, seed, lo, n_rows, key, n_words):
+        table = experiments.seed_table(seed, lo, lo + n_rows, *key)
+        words = experiments._pcg64_words(table, n_words)
+        assert words.shape == (n_rows, n_words) and words.dtype == np.uint64
+        for i, (row, got) in enumerate(zip(table, words)):
+            want = np.random.PCG64(experiments._seed_words()(row)).random_raw(n_words)
+            assert np.array_equal(got, want), i
+
+    def test_rows_cover_rotation_zero_and_a_low_word_carry(self):
+        # 64 stock bit streams against PCG64 on Python integers; they read a
+        # word at rotation 0 and step through a carry out of the low word
+        table = experiments.seed_table(12345, 0, 64, experiments._BITS_STAGE)
+        words = experiments._pcg64_words(table, 104)
+        mult, mask = experiments._PCG_MULT, 2**64 - 1
+        rotations, carries = set(), 0
+        for (s_hi, s_lo, i_hi, i_lo), got in zip(table.tolist(), words.tolist()):
+            inc = (i_hi << 65 | i_lo << 1 | 1) % 2**128
+            state = ((s_hi << 64 | s_lo) + inc) * mult + inc
+            want = []
+            for _ in range(104):
+                carries += (state * mult & mask) + (inc & mask) > mask
+                state = (state * mult + inc) % 2**128
+                hi, lo = state >> 64, state & mask
+                rotations.add(hi >> 58)
+                want.append(((hi ^ lo) >> (hi >> 58) | (hi ^ lo) << (64 - (hi >> 58))) & mask)
+            assert got == want
+        assert 0 in rotations and carries > 0
+
+
 class TestBlockedDispatch:
     # the call each solver makes on its block: (module, attribute)
     SOLVER_CALL = {
@@ -442,6 +480,32 @@ class TestCli:
         code = main(["table2", "--out", str(tmp_path)])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_out_path_that_is_a_file_exit_code(self, tmp_path, capsys, monkeypatch):
+        # rejected before the driver runs, not by write_csv after it
+        from papradmm import cli
+
+        runs = []
+        monkeypatch.setattr(cli.experiments, "run_table2", runs.append)
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["table2", "--out", str(out)])
+        assert code == 2
+        assert str(out) in capsys.readouterr().err
+        assert runs == []
+
+    @pytest.mark.parametrize("csv_is_dir", [True, False])
+    def test_csv_write_failure_exit_code(self, tmp_path, capsys, csv_is_dir):
+        # table2.csv is a directory, or --out lies under a plain file
+        if csv_is_dir:
+            out = tmp_path
+            (out / "table2.csv").mkdir()
+        else:
+            (tmp_path / "file").write_text("")
+            out = tmp_path / "file" / "sub"
+        code = main(["table2", "--symbols", "2", "--iters", "1", "--out", str(out)])
+        assert code == 2
+        assert str(out / "table2.csv") in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["alpha-db", "beta", "rho", "rho-tilde"])
     def test_nan_setting_exit_code(self, tmp_path, capsys, key):
@@ -920,6 +984,32 @@ def test_driver_run_loads_no_numpy_ma(command, tmp_path):
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip().splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("command", ["table2", "ccdf", "psd", "convergence", "ber"])
+def test_driver_run_loads_no_numpy_random(command, tmp_path):
+    # numpy.random imports secrets, hmac and hashlib (OpenSSL); the data bits
+    # come from _pcg64_words, and only ber's noise draws through a Generator,
+    # whose seed class is built once per process
+    import papradmm
+
+    src = str(Path(papradmm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys; from papradmm.cli import main; from papradmm import experiments; "
+        f"assert main([{command!r}, '--symbols', '4', '--iters', '2', '--out', sys.argv[1]]) == 0; "
+        "print([m for m in ('numpy.random', 'secrets', '_hashlib') if m in sys.modules], "
+        "experiments._seed_words.cache_info().misses)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    last = out.stdout.strip().splitlines()[-1]
+    if command == "ber":
+        assert last == "['numpy.random', 'secrets', '_hashlib'] 1"
+    else:
+        assert last == "[] 0"
 
 
 def test_import_loads_no_scipy():
