@@ -31,15 +31,13 @@ def saturation_amplitude(x) -> float:
     return float(np.sqrt(mean_power * 10.0 ** (SSPA_BACKOFF_DB / 10.0)))
 
 
-def sspa(x, a_sat: float | None = None) -> np.ndarray:
+def sspa(x, a_sat: float) -> np.ndarray:
     """Amplitude compression ``A -> A / (1 + (A/a_sat)^(2p))^(1/(2p))``, phase kept.
 
-    ``p = SSPA_SMOOTHNESS``; ``a_sat`` defaults to the batch's own
-    :func:`saturation_amplitude`.
+    ``p = SSPA_SMOOTHNESS``.  Callers pass the whole batch's
+    :func:`saturation_amplitude`, so a row block amplifies as the batch does.
     """
     x = dsp._as_complex(x)
-    if a_sat is None:
-        a_sat = saturation_amplitude(x)
     p2 = 2.0 * SSPA_SMOOTHNESS
     gain = (1.0 + (np.abs(x) / a_sat) ** p2) ** (-1.0 / p2)
     return x * gain

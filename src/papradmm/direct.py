@@ -85,7 +85,6 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
             "x": x_update(x_raw, params.alpha),
             "ys": np.zeros_like(x_raw),
             "mu": np.zeros(c_o.shape[0]),
-            "fcpo_active": np.zeros(c_o.shape[0], dtype=bool),
         }
 
     def step(c_o, s, where_active):
@@ -101,16 +100,12 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
         np.subtract(ac, x_new, out=ac)
         ys_new = where_active(np.add(ys, ac, out=ac), ys)
         change = row_norm(c_new - c) ** 2 + row_norm(np.subtract(x_new, x, out=x)) ** 2
-        s.update(
-            c=c_new, x=x_new, ys=ys_new, mu=where_active(mu, s["mu"]),
-            fcpo_active=where_active(s["fcpo_active"] | (mu > 0), s["fcpo_active"]),
-        )
-        return change
+        s.update(c=c_new, x=x_new, ys=ys_new, mu=where_active(mu, s["mu"]))
+        return change, mu
 
     sweeps = run_sweeps(c_o, plan, params, oversample, start, step)
     return sweeps.result(
         DirectReport,
-        fcpo_active=sweeps.state["fcpo_active"],
         y_final=rho * sweeps.state["ys"],
         mu_final=sweeps.state["mu"],
     )

@@ -298,18 +298,18 @@ def _solve_chunk(cfg, solver, c_o, plan, beta=None):
     return x, c, report.fcpo_active
 
 
-def _run_blocks(cfg: ExperimentConfig, n_rows: int, row_samples: int, task) -> list:
+def _run_blocks(workers: int, n_rows: int, row_samples: int, task) -> list:
     """``task(lo, hi)`` on each row block of a batch, results in block order.
 
     The ``n_rows`` rows of ``row_samples`` time samples each are cut into
     equal blocks (to within one row) of at most ``BLOCK_SAMPLES`` samples,
-    their count a multiple of the thread count.  Threads: ``cfg.workers``,
-    but at most one per core and one per row; with one thread the blocks run
+    their count a multiple of the thread count.  Threads: ``workers``, but
+    at most one per core and one per row; with one thread the blocks run
     inline.  No rows make no blocks and run no task.
     """
     if n_rows == 0:
         return []
-    threads = min(cfg.workers, os.cpu_count() or 1, n_rows)
+    threads = min(workers, os.cpu_count() or 1, n_rows)
     block_rows = max(1, BLOCK_SAMPLES // row_samples)
     n_blocks = -(-n_rows // block_rows)
     n_blocks = -(-n_blocks // threads) * threads
@@ -325,19 +325,19 @@ def _run_blocks(cfg: ExperimentConfig, n_rows: int, row_samples: int, task) -> l
 def solve_batch(cfg: ExperimentConfig, solver: str, c_o, plan, beta=None):
     """Dispatch one symbol batch to a solver in fixed row blocks.
 
-    Returns ``(x, c, fcpo_active)``.  :func:`_run_blocks` cuts the batch, and
-    every block is solved on its own and written in place into preallocated
-    ``x``, ``c`` and ``fcpo_active``.  ``fcpo_active`` flags the rows whose
-    FCPO multiplier was positive in some sweep (the engines' report field of
-    that name); an unflagged row has the same bits at any larger ``beta``.
+    Returns ``(x, c, fcpo_active)``.  :func:`_run_blocks` cuts the batch on
+    ``cfg.workers`` threads, and every block is solved on its own and written
+    in place into preallocated ``x``, ``c`` and ``fcpo_active``, the engine
+    reports' flag of the rows whose FCPO multiplier was positive in some
+    sweep; an unflagged row has the same bits at any larger ``beta``.
     ``none`` and ``rcf`` flag every row.  Each symbol's solve does not depend
     on the other symbols in its block, so the result does not depend on
     ``cfg.workers``, on where the block boundaries fall or on which other
     rows share the batch.  A batch of no rows returns arrays of no rows.
     ``run_ber`` cuts its own row-block passes the same way, through
     :func:`_run_blocks`: after each solve, a transmit pass over the returned
-    ``x``; after the last solve, the link stage over the stored carrier
-    spectra.
+    ``x`` on ``cfg.workers`` threads; after the last solve, the link stage
+    over the stored carrier spectra, on one.
     """
     c_o = np.atleast_2d(c_o)
     n_rows, n_carriers = c_o.shape
@@ -350,7 +350,7 @@ def solve_batch(cfg: ExperimentConfig, solver: str, c_o, plan, beta=None):
             cfg, solver, c_o[lo:hi], plan, beta
         )
 
-    _run_blocks(cfg, n_rows, x.shape[1], solve_block)
+    _run_blocks(cfg.workers, n_rows, x.shape[1], solve_block)
     return x, c, fcpo_active
 
 
@@ -451,10 +451,11 @@ def run_convergence(cfg: ExperimentConfig):
 
 
 def run_consensus_gap(cfg: ExperimentConfig):
-    """Median converged coupling gap versus the tie penalty (rho = 3*rho_tilde).
+    """Median coupling gap after ``max(iterations, 400)`` sweeps versus the tie penalty.
 
-    Runs in feasible-start mode so the analytical gap bound applies; emits
-    the per-grid-point bound satisfaction fraction alongside the median.
+    Runs at ``rho = 3*rho_tilde`` in feasible-start mode so the analytical
+    gap bound applies; emits the per-grid-point bound satisfaction fraction
+    alongside the median.
     """
     plan, _, _, c_o = _symbols(cfg, min(cfg.n_symbols, 200))
     rows = [("rho_tilde", "median_gap", "bound_ok_fraction", "feasible_fraction")]
@@ -514,7 +515,8 @@ def run_ber(cfg: ExperimentConfig):
     reuses across points, and transforms and equalizes it once.  Every
     solver's received spectrum is then one broadcast
     ``clean + s_k * F(unit) / H``, with ``s_k`` that solver's noise scale,
-    and one :func:`dsp.demap_bits` call decides all solvers' rows.  The
+    and one :func:`dsp.demap_bits` call decides all solvers' rows; one
+    comparison with the sent bits then counts each solver's errors.  The
     integer error counts of the blocks add up to the same totals for any
     block layout.  Rows come out solver by solver, each over the Eb/N0 grid.
     """
@@ -539,7 +541,7 @@ def run_ber(cfg: ExperimentConfig):
                 spectrum = dsp.fft_oversampled(sspa(x[lo:hi], a_sat=a_sat), cfg.oversample)
             clean[k, lo:hi] = spectrum
 
-        _run_blocks(cfg, cfg.n_symbols, n_samples, transmit_block)
+        _run_blocks(cfg.workers, cfg.n_symbols, n_samples, transmit_block)
         del x
         eb = float(np.mean(es)) / (plan.n_data * const.bits_per_symbol)
         scales[k] = [
@@ -561,10 +563,9 @@ def run_ber(cfg: ExperimentConfig):
             np.multiply(scales[:, j, None, None], spectrum, out=received)
             received += clean[:, lo:hi]
             decided = dsp.demap_bits(received.reshape(-1, cfg.n_carriers), const, plan)
-            for k, rx_bits in enumerate(decided.reshape(n_solvers, n_rows, -1)):
-                acc = metrics.MetricAccumulator()
-                acc.add_bits(bits[lo:hi], rx_bits)
-                errors[k, j] = acc.bit_errors
+            errors[:, j] = np.count_nonzero(
+                decided.reshape(n_solvers, n_rows, -1) != bits[lo:hi], axis=(1, 2)
+            )
         return errors
 
     # One thread at any --workers: _unit_noise makes one standard_normal call
@@ -572,7 +573,7 @@ def run_ber(cfg: ExperimentConfig):
     # trade it row by row.  At 1000 multipath symbols on 2 cores the stage
     # took 0.18-0.20 s wall and 0.25-0.27 s CPU, with ~4 400-5 000 voluntary
     # context switches, on two threads, and 0.14-0.17 s of each on one.
-    errors = sum(_run_blocks(cfg.with_overrides(workers=1), cfg.n_symbols, n_samples, link_block))
+    errors = sum(_run_blocks(1, cfg.n_symbols, n_samples, link_block))
     rows = [("solver", "channel", "ebn0_db", "ber", "bits")]
     for solver, counts in zip(SOLVERS, errors):
         for ebn0, n_err in zip(cfg.ebn0_db, counts):
@@ -612,10 +613,10 @@ def _unit_noise(seeds, rails, out) -> np.ndarray:
 def run_psd(cfg: ExperimentConfig):
     """Emission spectra after the PA, one curve per solver, peak at 0 dB.
 
-    The amplifier's saturation amplitude is the mean over the solver's whole
-    batch, as in :func:`channel.sspa`; the batch is then amplified in place,
-    row block by row block, and freed once its spectrum is taken, before the
-    next solve starts.
+    The amplifier's saturation amplitude is taken over the solver's whole
+    batch (:func:`channel.saturation_amplitude`); the batch is then amplified
+    in place, row block by row block on ``cfg.workers`` threads, and freed
+    once its spectrum is taken, before the next solve starts.
     """
     n_symbols = min(cfg.n_symbols, 1000)
     n_samples = n_symbols * cfg.oversample * cfg.n_carriers
@@ -634,7 +635,7 @@ def run_psd(cfg: ExperimentConfig):
             def amplify_block(lo, hi):
                 x[lo:hi] = sspa(x[lo:hi], a_sat=a_sat)
 
-            _run_blocks(cfg, n_symbols, x.shape[1], amplify_block)
+            _run_blocks(cfg.workers, n_symbols, x.shape[1], amplify_block)
         freqs, pxx = metrics.psd(x.ravel(), seg_len=PSD_SEG_LEN)
         del x
         pxx = pxx / pxx.max()

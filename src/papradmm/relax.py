@@ -204,7 +204,6 @@ def relax_solve(
             "c": c, "ac": ac, "x": x, "u": u, "w": u.copy(),
             "sd_dist_initial": sd_dist,
             "feasible_start": feas,
-            "fcpo_active": np.zeros(c_o.shape[0], dtype=bool),
         }
 
     def step(c_o, s, where_active):
@@ -214,7 +213,6 @@ def relax_solve(
         v = c_o + r * dsp.fft_oversampled(u - b, oversample)
         c, mu = c_update(v, plan, params.beta, r)
         c = where_active(c, s["c"])
-        s["fcpo_active"] = where_active(s["fcpo_active"] | (mu > 0), s["fcpo_active"])
         ac = dsp.ifft_oversampled(c, oversample)
         x = where_active(x_update(np.add(w, b, out=b), params.alpha), s["x"])
         # free b and the old ac and x before uw_update's three arrays, the
@@ -239,7 +237,7 @@ def relax_solve(
             lagr = relax_lagrangian(c, ac, x, u_new, w_new, y1_new, c_o, plan, rho, rho_tilde)
             identities.append(ident)
             lagrangians.append(lagr)
-        return du_sq + dw_sq
+        return du_sq + dw_sq, mu
 
     sweeps = run_sweeps(c_o, plan, params, oversample, start, step)
     s = sweeps.state
@@ -255,7 +253,6 @@ def relax_solve(
     consensus_gap[sweeps.bypassed] = 0.0
     return sweeps.result(
         RelaxReport,
-        fcpo_active=s["fcpo_active"],
         lagrangian_initial=lagrangians[0],
         lagrangian=trace,
         descent_lhs=lhs,

@@ -5,7 +5,7 @@ step in closed form once per sweep; they differ only in how the coupling
 ``Ac = x`` is split.  :func:`run_sweeps` owns everything around that step:
 the input check, the single-symbol round trip, the bypass of symbols that
 already meet the PAPR target, the per-symbol stop, the freezing of stopped
-symbols and the stacking of the per-sweep squared steps.
+symbols, the stacking of the per-sweep squared steps and the FCPO flag.
 """
 
 import numpy as np
@@ -38,6 +38,7 @@ class SweepReport:
     ``fcpo_active`` flags the symbols whose FCPO multiplier was positive in
     at least one of their sweeps (every symbol that sweeps, at ``beta = 0``);
     an unflagged symbol runs the same sweeps, bit for bit, at any larger ``beta``.
+    The sweep loop sets these fields, and each engine's report adds its own.
     """
 
     iterations: int
@@ -62,17 +63,19 @@ class Sweeps:
     state: dict
     bypassed: np.ndarray
     converged: np.ndarray
+    fcpo_active: np.ndarray
     residual: np.ndarray
     single: bool
 
     def result(self, report_type, **fields):
         """``(x, c, report)``, with ``x`` and ``c`` shaped like the input; the
-        ``report_type`` report takes the loop's ``iterations``, ``bypassed``,
-        ``converged`` and ``residual``, and ``fields`` for the rest."""
+        ``report_type`` report takes the loop's :class:`SweepReport` fields
+        and ``fields`` for the rest."""
         report = report_type(
             iterations=len(self.residual),
             bypassed=self.bypassed,
             converged=self.converged,
+            fcpo_active=self.fcpo_active,
             residual=self.residual,
             **fields,
         )
@@ -90,8 +93,10 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step)
     loop and any buffer the step reuses, must be the engine's own: it may not
     share memory with ``c_o``, ``x_raw`` or another state array.
     ``step(c_o, state, where_active)`` updates ``state`` in place and returns
-    the per-symbol squared step, which the stop at ``params.eps`` compares
-    and ``Sweeps.residual`` stacks.
+    ``(residual, mu)``: the per-symbol squared step, which the stop at
+    ``params.eps`` compares and ``Sweeps.residual`` stacks, and the FCPO
+    multiplier, whose ``mu > 0`` the loop ORs into ``fcpo_active`` on the
+    symbols that ran the sweep.
     ``where_active(new, old)`` writes ``old`` into ``new`` in place on the
     symbols that have stopped (``np.copyto(new, old, where=stopped)``) and
     returns ``new``, so ``new`` must be an array the step owns, such as a
@@ -114,6 +119,7 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step)
     bypassed = dsp.papr(x_raw) <= params.alpha
     state = start(c_o, x_raw)
     done = bypassed.copy()
+    fcpo_active = np.zeros(len(c_o), dtype=bool)
     residuals = []
 
     def where_active(new, old):
@@ -125,8 +131,9 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step)
         if np.all(done):
             break
         stopped = done if np.any(done) else None
-        residual = step(c_o, state, where_active)
+        residual, mu = step(c_o, state, where_active)
         residuals.append(residual)
+        np.logical_or(fcpo_active, mu > 0, out=fcpo_active, where=~done)
         done = done | (residual < params.eps)
 
     if bypassed.any():
@@ -139,6 +146,7 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step)
         state=state,
         bypassed=bypassed,
         converged=done,
+        fcpo_active=fcpo_active,
         residual=np.array(residuals).reshape(len(residuals), len(c_o)),
         single=single,
     )
