@@ -87,20 +87,19 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
             "mu": np.zeros(c_o.shape[0]),
         }
 
-    def step(c_o, s, where_active):
+    def step(c_o, s):
         c, x, ys = s["c"], s["x"], s["ys"]
         b = np.subtract(x, ys)
         v = c_o + r * dsp.fft_oversampled(b, oversample)
         c_new, mu = c_update(v, plan, params.beta, r)
-        c_new = where_active(c_new, c)
         ac = dsp.ifft_oversampled(c_new, oversample)
-        x_new = where_active(x_update(np.add(ac, ys, out=b), params.alpha), x)
+        x_new = x_update(np.add(ac, ys, out=b), params.alpha)
         # the dual step ys + (ac - x') is built in ac, and the x step in the
         # old x, which no longer belongs to the state
         np.subtract(ac, x_new, out=ac)
-        ys_new = where_active(np.add(ys, ac, out=ac), ys)
+        ys_new = np.add(ys, ac, out=ac)
         change = row_norm(c_new - c) ** 2 + row_norm(np.subtract(x_new, x, out=x)) ** 2
-        s.update(c=c_new, x=x_new, ys=ys_new, mu=where_active(mu, s["mu"]))
+        s.update(c=c_new, x=x_new, ys=ys_new, mu=mu)
         return change, mu
 
     sweeps = run_sweeps(c_o, plan, params, oversample, start, step)

@@ -304,12 +304,13 @@ def _run_blocks(workers: int, n_rows: int, row_samples: int, task) -> list:
     The ``n_rows`` rows of ``row_samples`` time samples each are cut into
     equal blocks (to within one row) of at most ``BLOCK_SAMPLES`` samples,
     their count a multiple of the thread count.  Threads: ``workers``, but
-    at most one per core and one per row; with one thread the blocks run
-    inline.  No rows make no blocks and run no task.
+    at most one per CPU this process may run on and one per row; with one
+    thread the blocks run inline.  No rows make no blocks and run no task.
     """
     if n_rows == 0:
         return []
-    threads = min(workers, os.cpu_count() or 1, n_rows)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = min(workers, cpus or 1, n_rows)
     block_rows = max(1, BLOCK_SAMPLES // row_samples)
     n_blocks = -(-n_rows // block_rows)
     n_blocks = -(-n_blocks // threads) * threads

@@ -42,7 +42,7 @@ class RelaxReport(SweepReport):
     sides of the per-sweep descent bound, read off that trace and
     ``residual`` by one :func:`descent_check`; ``identity_residual`` is the
     max-norm distance of the explicit dual steps from the multipliers derived
-    at the new (u, w) (0 on a stopped symbol).  All other traces have shape
+    at the new (u, w) (0 after a symbol's stop).  All other traces have shape
     ``(n_iters, K)``; ``u_final`` and ``w_final`` give the final multipliers.
     ``feasible_start`` flags symbols whose initial pair satisfied all
     constraints with ``Ac1 = x1`` (see :func:`feasible_start_state`).
@@ -178,11 +178,12 @@ def relax_solve(
     tie = rho_tilde / rho
     # the initial Lagrangian, then one per sweep of a certified run
     lagrangians, identities = [], []
+    sd_dist_initial = feasible = None
 
     def start(c_o, x_raw):
-        feas = None
+        nonlocal sd_dist_initial, feasible
         if feasible_start:
-            c, ac, feas = feasible_start_state(c_o, plan, params, oversample)
+            c, ac, feasible = feasible_start_state(c_o, plan, params, oversample)
             x = ac.copy()
         else:
             # From c = c_o, A c is x_raw itself; the sweeps never write into ac.
@@ -193,46 +194,39 @@ def relax_solve(
         # sweep, the first one included.
         u = np.add(ac, x)
         np.multiply(0.5, u, out=u)
-        sd_dist = row_norm(np.take(c - c_o, plan.data_idx, axis=-1)) ** 2
+        sd_dist_initial = row_norm(np.take(c - c_o, plan.data_idx, axis=-1)) ** 2
         # relax_lagrangian's multiplier and tie terms are exact zeros here
         # (y1 = y2 = 0, u = w), and adding a zero to the nonnegative distance
         # term leaves it unchanged, so dropping them keeps every bit.
         lagrangians.append(
-            0.5 * sd_dist + 0.5 * rho * (row_norm(ac - u) ** 2 + row_norm(x - u) ** 2)
+            0.5 * sd_dist_initial + 0.5 * rho * (row_norm(ac - u) ** 2 + row_norm(x - u) ** 2)
         )
-        return {
-            "c": c, "ac": ac, "x": x, "u": u, "w": u.copy(),
-            "sd_dist_initial": sd_dist,
-            "feasible_start": feas,
-        }
+        return {"c": c, "ac": ac, "x": x, "u": u, "w": u.copy()}
 
-    def step(c_o, s, where_active):
+    def step(c_o, s):
         u, w = s["u"], s["w"]
         d = np.subtract(u, w)
         b = np.multiply(tie, d)
         v = c_o + r * dsp.fft_oversampled(u - b, oversample)
         c, mu = c_update(v, plan, params.beta, r)
-        c = where_active(c, s["c"])
         ac = dsp.ifft_oversampled(c, oversample)
-        x = where_active(x_update(np.add(w, b, out=b), params.alpha), s["x"])
+        x = x_update(np.add(w, b, out=b), params.alpha)
         # free b and the old ac and x before uw_update's three arrays, the
         # peak of the sweep's working set
         del b
         s.update(c=c, ac=ac, x=x)
         y1 = np.multiply(rho_tilde, d, out=d)
         u_new, w_new = uw_update(x, ac, y1, rho, rho_tilde)
-        u_new = where_active(u_new, u)
-        w_new = where_active(w_new, w)
         # the old u and w leave the state here, each taking its step
         du_sq = row_norm(np.subtract(u_new, u, out=u)) ** 2
         dw_sq = row_norm(np.subtract(w_new, w, out=w)) ** 2
         s.update(u=u_new, w=w_new)
 
         if certify:
-            # the explicit dual steps from y1, which a stopped symbol skips
+            # the explicit dual steps from y1
             y1_new = rho_tilde * (u_new - w_new)
-            step_u = where_active(y1 + rho * (ac - u_new), y1_new)
-            step_w = where_active(rho * (x - w_new) - y1, -y1_new)
+            step_u = y1 + rho * (ac - u_new)
+            step_w = rho * (x - w_new) - y1
             ident = multiplier_identity_residual(u_new, w_new, step_u, step_w, rho_tilde)
             lagr = relax_lagrangian(c, ac, x, u_new, w_new, y1_new, c_o, plan, rho, rho_tilde)
             identities.append(ident)
@@ -243,13 +237,15 @@ def relax_solve(
     s = sweeps.state
     trace = lhs = rhs = identity = None
     if certify:
-        # a stopped row repeats its Lagrangian and records a zero step, so
-        # both of its sides are 0 from then on
-        trace = np.array(lagrangians)
+        # a stopped row repeats the Lagrangian of its stop sweep and records
+        # a zero step, so both of its sides are 0 from then on
+        sweep_no = np.arange(len(lagrangians))[:, None]
+        trace = np.take_along_axis(np.array(lagrangians), np.minimum(sweep_no, sweeps.ran), 0)
         lhs, rhs, _ = descent_check(trace[:-1], trace[1:], sweeps.residual, rho, rho_tilde)
         identity = np.array(identities).reshape(sweeps.residual.shape)
+        identity[sweep_no[1:] > sweeps.ran] = 0.0
     # A bypassed row transmits x_raw = A c_o, so its coupling gap is zero.
-    consensus_gap = row_norm(s["ac"] - sweeps.x) ** 2
+    consensus_gap = row_norm(s["ac"] - s["x"]) ** 2
     consensus_gap[sweeps.bypassed] = 0.0
     return sweeps.result(
         RelaxReport,
@@ -259,12 +255,12 @@ def relax_solve(
         descent_rhs=rhs,
         identity_residual=identity,
         consensus_gap=consensus_gap,
-        sd_dist_initial=s["sd_dist_initial"],
-        sd_dist_final=row_norm(np.take(sweeps.c - sweeps.c_o, plan.data_idx, axis=-1)) ** 2,
+        sd_dist_initial=sd_dist_initial,
+        sd_dist_final=row_norm(np.take(s["c"] - sweeps.c_o, plan.data_idx, axis=-1)) ** 2,
         uw_gap_final=row_norm(s["u"] - s["w"]) ** 2,
         u_final=s["u"],
         w_final=s["w"],
-        feasible_start=s["feasible_start"],
+        feasible_start=feasible,
     )
 
 

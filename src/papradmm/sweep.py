@@ -2,10 +2,11 @@
 
 Both engines solve the carrier-domain update, the PAPR projection and a dual
 step in closed form once per sweep; they differ only in how the coupling
-``Ac = x`` is split.  :func:`run_sweeps` owns everything around that step:
-the input check, the single-symbol round trip, the bypass of symbols that
-already meet the PAPR target, the per-symbol stop, the freezing of stopped
-symbols, the stacking of the per-sweep squared steps and the FCPO flag.
+``Ac = x`` is split.  Each engine's step is a plain map on every symbol's
+state, and :func:`run_sweeps` owns everything around it: the input check, the
+single-symbol round trip, the bypass of symbols that already meet the PAPR
+target, the per-symbol stop, the state that stopped symbols keep, the
+stacking of the per-sweep squared steps and the FCPO flag.
 """
 
 import numpy as np
@@ -32,7 +33,8 @@ class SweepReport:
     """The per-row outcome that opens every engine's report.
 
     ``residual`` has shape ``(n_iters, K)``, ``n_iters = iterations``, and
-    holds each sweep's squared step; a frozen symbol records zeros.
+    holds each sweep's squared step; a symbol records zeros from the sweep
+    after its stop on.
     ``bypassed`` flags the symbols whose raw PAPR already met the target, and
     ``converged`` those that stopped, bypassed ones included.
     ``fcpo_active`` flags the symbols whose FCPO multiplier was positive in
@@ -52,19 +54,19 @@ class SweepReport:
 class Sweeps:
     """Outcome of :func:`run_sweeps`, always on a 2-D batch.
 
-    ``x`` and ``c`` hold the raw signal and ``c_o`` on bypassed rows and the
-    final state everywhere else.  ``residual`` has shape ``(n_iters, K)``,
-    also when no sweep ran.
+    ``state`` holds each symbol's state at its stop or after the last sweep,
+    with the raw signal and ``c_o`` in the bypassed rows of ``"x"`` and
+    ``"c"``.  ``ran`` counts each symbol's sweeps, its stop sweep included.
+    ``residual`` has shape ``(n_iters, K)``, also when no sweep ran.
     """
 
     c_o: np.ndarray
-    x: np.ndarray
-    c: np.ndarray
     state: dict
     bypassed: np.ndarray
     converged: np.ndarray
     fcpo_active: np.ndarray
     residual: np.ndarray
+    ran: np.ndarray
     single: bool
 
     def result(self, report_type, **fields):
@@ -79,9 +81,10 @@ class Sweeps:
             residual=self.residual,
             **fields,
         )
+        x, c = self.state["x"], self.state["c"]
         if self.single:
-            return self.x[0], self.c[0], report
-        return self.x, self.c, report
+            return x[0], c[0], report
+        return x, c, report
 
 
 def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step) -> Sweeps:
@@ -92,20 +95,17 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step)
     Every state array that is written in place, ``"c"`` and ``"x"`` by this
     loop and any buffer the step reuses, must be the engine's own: it may not
     share memory with ``c_o``, ``x_raw`` or another state array.
-    ``step(c_o, state, where_active)`` updates ``state`` in place and returns
-    ``(residual, mu)``: the per-symbol squared step, which the stop at
-    ``params.eps`` compares and ``Sweeps.residual`` stacks, and the FCPO
-    multiplier, whose ``mu > 0`` the loop ORs into ``fcpo_active`` on the
-    symbols that ran the sweep.
-    ``where_active(new, old)`` writes ``old`` into ``new`` in place on the
-    symbols that have stopped (``np.copyto(new, old, where=stopped)``) and
-    returns ``new``, so ``new`` must be an array the step owns, such as a
-    kernel's fresh result or a state buffer it no longer needs.  The step
-    applies it to every state array it updates, so a stopped symbol keeps its
-    state and records a zero step.  While every symbol is running it writes
-    nothing.  On return ``x`` and ``c`` are the state's own arrays, with the
-    raw signal and ``c_o`` written into their bypassed rows, and the engine
-    returns :meth:`Sweeps.result` with its own report fields.
+    ``step(c_o, state)`` updates every symbol's ``state`` in place, row by
+    row, and returns ``(residual, mu)``: the per-symbol squared step, which
+    the stop at ``params.eps`` compares and ``Sweeps.residual`` stacks, and
+    the FCPO multiplier, whose ``mu > 0`` the loop ORs into ``fcpo_active``
+    on the symbols that ran the sweep.  A stopped symbol keeps sweeping, so
+    no row of a step may depend on another.  The loop copies a symbol's
+    state right before the first step after its stop (before the first step,
+    if it is bypassed), writes it back after the last sweep and records a
+    zero step for it from its stop on.  Then the raw signal and ``c_o`` go
+    into the bypassed rows of ``"x"`` and ``"c"``, and the engine returns
+    :meth:`Sweeps.result` with its own report fields.
     """
     c_o = dsp._as_complex(c_o)
     single = c_o.ndim == 1
@@ -118,35 +118,38 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step)
     x_raw = dsp.ifft_oversampled(c_o, oversample)
     bypassed = dsp.papr(x_raw) <= params.alpha
     state = start(c_o, x_raw)
-    done = bypassed.copy()
+    done, stops = bypassed.copy(), bypassed
+    ran = np.zeros(len(c_o), dtype=int)
     fcpo_active = np.zeros(len(c_o), dtype=bool)
-    residuals = []
-
-    def where_active(new, old):
-        if stopped is not None:
-            np.copyto(new, old, where=stopped[:, None] if new.ndim == 2 else stopped)
-        return new
+    residuals, held = [], []
 
     for _ in range(params.max_iters):
         if np.all(done):
             break
-        stopped = done if np.any(done) else None
-        residual, mu = step(c_o, state, where_active)
+        # hold, then step; write back only at the end: a start array may be x_raw
+        if np.any(stops):
+            held.append((stops, {k: v[stops] for k, v in state.items()}))
+        residual, mu = step(c_o, state)
+        residual[done] = 0.0
         residuals.append(residual)
         np.logical_or(fcpo_active, mu > 0, out=fcpo_active, where=~done)
-        done = done | (residual < params.eps)
+        ran += ~done
+        stops = ~done & (residual < params.eps)
+        done = done | stops
 
+    for stops, rows in held:
+        for k, v in rows.items():
+            state[k][stops] = v
     if bypassed.any():
         np.copyto(state["x"], x_raw, where=bypassed[:, None])
         np.copyto(state["c"], c_o, where=bypassed[:, None])
     return Sweeps(
         c_o=c_o,
-        x=state["x"],
-        c=state["c"],
         state=state,
         bypassed=bypassed,
         converged=done,
         fcpo_active=fcpo_active,
         residual=np.array(residuals).reshape(len(residuals), len(c_o)),
+        ran=ran,
         single=single,
     )

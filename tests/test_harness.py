@@ -336,7 +336,10 @@ class TestBlockedDispatch:
             excess[n_rows] = peak - x.nbytes - c.nbytes
         assert excess[4096] <= 1.25 * excess[1024], excess
 
-    def test_threads_capped_at_core_count(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_threads_capped_at_usable_cpus(self, cpus, monkeypatch):
+        # the cap is the CPUs this process may run on, not the host's cores:
+        # under a one-CPU affinity mask the blocks run on the calling thread
         seen = []
 
         class InlinePool:
@@ -355,12 +358,13 @@ class TestBlockedDispatch:
                 return future
 
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", InlinePool)
-        cores = os.cpu_count()
-        cfg = ExperimentConfig().with_overrides(workers=cores + 3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        cfg = ExperimentConfig().with_overrides(workers=cpus + 3)
         c_o, plan = _batch(cfg, 2 * cfg.workers)
         x = experiments.solve_batch(cfg, "none", c_o, plan)[0]
         assert np.array_equal(x, dsp.ifft_oversampled(c_o, cfg.oversample))
-        assert seen == ([cores] if cores > 1 else [])
+        assert seen == ([cpus] if cpus > 1 else [])
 
     @pytest.mark.parametrize("solver", sorted(SOLVER_CALL))
     @pytest.mark.parametrize("workers", [1, 2])
@@ -726,6 +730,7 @@ class TestBerLinkStage:
         monkeypatch.setattr(experiments, "_unit_noise", recording_noise)
         monkeypatch.setattr(experiments, "sspa", recording_sspa)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cfg = ExperimentConfig().with_overrides(
             n_symbols=300, iterations=2, ebn0_db="4,8", channel="multipath", workers=2
         )

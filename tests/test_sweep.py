@@ -5,7 +5,9 @@ never change: the caller's input, the independence of the returned arrays,
 the working set of one row block and the bits of every row, whatever batch
 it is solved in.  They also pin what the drivers rely on: a row whose FCPO
 bound never bound (``fcpo_active`` False) keeps its bits at a larger beta,
-and both engines commute with scaling and rotating the input.
+and both engines commute with scaling and rotating the input.  A toy step
+pins the loop's own contract: a stopped row ends with the state of its stop
+sweep, however long the others sweep on.
 """
 
 import functools
@@ -34,6 +36,7 @@ from papradmm import (
 )
 from papradmm import dsp, experiments
 from papradmm.config import ExperimentConfig
+from papradmm.sweep import row_norm, run_sweeps
 
 ALPHA = 10 ** 0.4
 PLAN = CarrierPlan.default(64, 12)
@@ -139,6 +142,44 @@ class TestOwnership:
         fft_oversampled(b, 4)
         for a, k in zip(inputs, kept):
             assert a.tobytes() == k.tobytes()
+
+
+def test_loop_holds_the_state_of_each_stopped_row():
+    # a toy map that shrinks each row's x at its own rate, sweeps every row
+    # and never asks which ones stopped; the bypassed tone row sweeps too
+    rng = np.random.default_rng(5)
+    c_o = np.vstack([random_symbols(rng, 3), tone_row()])
+    rates = np.array([0.5, 0.1, 0.9, 0.5])
+
+    def start(c_o, x_raw):
+        return {"c": c_o.copy(), "x": x_raw / row_norm(x_raw)[:, None], "k": np.zeros(4)}
+
+    def step(c_o, s):
+        x = s["x"] * rates[:, None]
+        change = row_norm(x - s["x"]) ** 2
+        s.update(x=x, k=s["k"] + 1.0)
+        # positive from sweep 4 on, on every row
+        return change, s["k"] - 3.0
+
+    # unit rows: the squared step of sweep k is rate**(2k - 2) * (1 - rate)**2
+    params = AdmmParams(alpha=ALPHA, beta=0.15, rho=100.0, max_iters=12, eps=1e-4)
+    sweeps = run_sweeps(c_o, PLAN, params, 4, start, step)
+    stop = [7, 3, 12, 0]
+    assert sweeps.ran.tolist() == stop
+    assert sweeps.converged.tolist() == [True, True, False, True]
+    assert sweeps.fcpo_active.tolist() == [True, False, True, False]
+    assert sweeps.residual.shape == (12, 4)
+    x_raw = ifft_oversampled(c_o, 4)
+    for i in range(3):
+        x = x_raw[i] / row_norm(x_raw[i])
+        for _ in range(stop[i]):
+            x = x * rates[i]
+        assert np.array_equal(sweeps.state["x"][i], x)
+        assert sweeps.state["k"][i] == stop[i]
+        assert np.all(sweeps.residual[: stop[i], i] > 0)
+        assert not sweeps.residual[stop[i] :, i].any()
+    assert np.array_equal(sweeps.state["x"][3], x_raw[3])
+    assert sweeps.state["k"][3] == 0 and not sweeps.residual[:, 3].any()
 
 
 @pytest.mark.parametrize("engine,limit_mb", [("relax", 6.2), ("direct", 4.6)])
