@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands mirror the experiment drivers; every run writes one CSV under
-``--out`` and prints a one-line summary per result group.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure.
+``--out`` and prints a one-line summary per result group.  Flag values are
+parsed and checked as a config file's are, by
+:meth:`ExperimentConfig.with_overrides`.  Exit codes: 0 success,
+2 configuration error (a malformed flag too), 3 numerical failure.
 """
 
 import argparse
@@ -13,18 +15,12 @@ from . import experiments
 from .config import ConfigError, ExperimentConfig
 from .dsp import DegenerateSymbolError
 
+# The flags that override a configuration key, each with the key it sets
 _OVERRIDE_FLAGS = {
-    "beta": float,
-    "alpha_db": float,
-    "rho": float,
-    "rho_tilde": float,
-    "symbols": int,
-    "iters": int,
-    "seed": int,
-    "channel": str,
-    "workers": int,
+    "--beta": "beta", "--alpha-db": "alpha_db", "--rho": "rho", "--rho-tilde": "rho_tilde",
+    "--symbols": "n_symbols", "--iters": "iterations", "--seed": "seed",
+    "--channel": "channel", "--workers": "workers",
 }
-_FLAG_TO_KEY = {"symbols": "n_symbols", "iters": "iterations"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,21 +40,16 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", type=Path, default=None, help="key=value file")
         cmd.add_argument("--out", type=Path, default=None, help="output directory")
-        for flag, kind in _OVERRIDE_FLAGS.items():
-            cmd.add_argument(f"--{flag.replace('_', '-')}", type=kind, default=None)
+        for flag, key in _OVERRIDE_FLAGS.items():
+            cmd.add_argument(flag, dest=key, default=None)
     return parser
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig() if args.config is None else ExperimentConfig.from_file(args.config)
-    overrides = {}
-    for flag in _OVERRIDE_FLAGS:
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[_FLAG_TO_KEY.get(flag, flag)] = value
-    if args.out is not None:
-        overrides["out_dir"] = str(args.out)
-    return cfg.with_overrides(**overrides)
+    overrides = {key: getattr(args, key) for key in _OVERRIDE_FLAGS.values()}
+    out_dir = None if args.out is None else str(args.out)
+    return cfg.with_overrides(out_dir=out_dir, **overrides)
 
 
 def main(argv=None) -> int:

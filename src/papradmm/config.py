@@ -175,31 +175,30 @@ class ExperimentConfig:
         return cls().with_overrides(**values)
 
     def with_overrides(self, **overrides) -> "ExperimentConfig":
-        """Copy with string- or native-typed overrides applied and validated."""
-        fields = {f.name: f for f in dataclasses.fields(self)}
+        """Copy with the overrides applied and validated; ``None`` leaves a key as it is.
+
+        Each key takes a value of its declared type (``rho``/``rho_tilde``:
+        a float) or the string form a config file or a CLI flag holds,
+        parsed by ``_PARSERS``; anything else raises a :class:`ConfigError`
+        that names the key.
+        """
+        fields = {f.name: f.type for f in dataclasses.fields(self)}
         updates = {}
         for key, value in overrides.items():
             if value is None:
                 continue
-            if key not in fields or key.startswith("_"):
+            if key not in fields:
                 raise ConfigError(f"unknown configuration key {key!r}")
-            updates[key] = self._coerce(key, value)
+            updates[key] = _PARSERS[fields[key]](key, value)
         return dataclasses.replace(self, **updates).validate()
 
-    def _coerce(self, key: str, value):
-        """``value`` as the type of ``key``'s default (``rho``/``rho_tilde``: float).
 
-        Every key takes its own type or the string form a config file
-        holds, and anything else raises a :class:`ConfigError` that names
-        the key.
-        """
-        current = getattr(type(self)(), key)
-        if isinstance(current, bool):
-            return _to_bool(key, value)
-        if isinstance(current, int):
-            return _to_int(key, value)
-        if isinstance(current, float) or current is None:  # rho, rho_tilde
-            return _to_float(key, value)
-        if isinstance(current, tuple):  # ebn0_db
-            return _to_float_tuple(key, value)
-        return _to_str(key, value)
+# The parser of each ExperimentConfig field, keyed by its declared type
+_PARSERS = {
+    bool: _to_bool,
+    int: _to_int,
+    float: _to_float,
+    float | None: _to_float,
+    tuple: _to_float_tuple,
+    str: _to_str,
+}

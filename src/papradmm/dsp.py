@@ -150,23 +150,6 @@ class CarrierPlan:
         return cls(n_carriers=n_carriers, data_idx=np.flatnonzero(is_data), free_idx=free)
 
 
-def _gray_to_binary(g: np.ndarray) -> np.ndarray:
-    out = g.copy()
-    s = g >> 1
-    while np.any(s):
-        out ^= s
-        s >>= 1
-    return out
-
-
-def _gray_pam_levels(n_bits: int) -> np.ndarray:
-    """PAM levels indexed by Gray-coded bit label, unit spacing 2."""
-    m = 1 << n_bits
-    labels = np.arange(m)
-    order = _gray_to_binary(labels)
-    return (2 * order - (m - 1)).astype(float)
-
-
 @dataclass(frozen=True)
 class Constellation:
     """Gray-mapped product-grid constellation with unit average energy.
@@ -236,7 +219,7 @@ class Constellation:
 
     @classmethod
     def qam16(cls) -> "Constellation":
-        levels = _gray_pam_levels(2)  # Gray-ordered [-3,-1,+3,+1] style
+        levels = np.array([-3.0, -1.0, 3.0, 1.0])  # of the Gray labels 00, 01, 10, 11
         i = levels[np.arange(16) >> 2]
         q = levels[np.arange(16) & 3]
         return cls("16qam", 4, (i + 1j * q) / np.sqrt(10.0))

@@ -219,12 +219,6 @@ def _generator(words: np.ndarray) -> "np.random.Generator":
     return np.random.Generator(np.random.PCG64(_seed_words()(words)))
 
 
-def _streams(seed: int, lo: int, hi: int, *key: int):
-    """Generators of the streams ``(seed, i, *key)``, ``i = lo..hi-1``, in order."""
-    for words in seed_table(seed, lo, hi, *key):
-        yield _generator(words)
-
-
 def rng_for(seed: int, *key: int) -> "np.random.Generator":
     """Independent generator for one (symbol, stage[, key]) stream.
 
@@ -232,16 +226,12 @@ def rng_for(seed: int, *key: int) -> "np.random.Generator":
     ``default_rng(SeedSequence(entropy=seed, spawn_key=key))``.  No driver
     calls it: of their streams only ``run_ber``'s noise needs a ``Generator``.
     """
-    return next(_streams(seed, key[0], key[0] + 1, *key[1:]))
-
-
-def make_plan(cfg: ExperimentConfig) -> dsp.CarrierPlan:
-    return dsp.CarrierPlan.default(cfg.n_carriers, cfg.n_free)
+    return _generator(seed_table(seed, key[0], key[0] + 1, *key[1:])[0])
 
 
 def _symbols(cfg: ExperimentConfig, n_symbols: int):
     """(plan, constellation, bits, c_o) of symbols ``0..n_symbols-1``."""
-    plan = make_plan(cfg)
+    plan = dsp.CarrierPlan.default(cfg.n_carriers, cfg.n_free)
     const = dsp.Constellation.from_name(cfg.constellation)
     bits = generate_bits(cfg, n_symbols, const, plan)
     return plan, const, bits, dsp.map_bits(bits, const, plan)
@@ -357,23 +347,17 @@ def solve_batch(cfg: ExperimentConfig, solver: str, c_o, plan, beta=None):
 
 def write_csv(path, rows):
     path = Path(path)
-    lines = []
-    for row in rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
+    # a float as .10g, which writes nan, inf and -inf as str() does
+    lines = [
+        ",".join(f"{cell:.10g}" if isinstance(cell, float) else str(cell) for cell in row)
+        for row in rows
+    ]
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("\n".join(lines) + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
     return path
-
-
-def _format_cell(cell) -> str:
-    if isinstance(cell, float):
-        if cell != cell or cell in (float("inf"), float("-inf")):
-            return str(cell)
-        return f"{cell:.10g}"
-    return str(cell)
 
 
 def run_table2(cfg: ExperimentConfig):
@@ -661,22 +645,20 @@ def run_bench(cfg: ExperimentConfig):
         params_warm = admm_params(cfg, solver="direct", iterations=1, eps=0.0)
         direct_solve(c_o, plan, params_warm, cfg.oversample)
         iters = 8
-        params = admm_params(cfg, solver="direct", iterations=iters, eps=0.0)
-        params0 = admm_params(cfg, solver="direct", iterations=0, eps=0.0)
-        best = np.inf
+        params = [admm_params(cfg, solver="direct", iterations=k, eps=0.0) for k in (iters, 0)]
+        # the fastest repeat of each sweep count, so a stall in one call moves neither
+        best = [np.inf, np.inf]
         for _ in range(BENCH_REPEATS):
-            t0 = time.perf_counter()
-            direct_solve(c_o, plan, params, cfg.oversample)
-            t1 = time.perf_counter()
-            direct_solve(c_o, plan, params0, cfg.oversample)
-            t2 = time.perf_counter()
-            per_iter = ((t1 - t0) - (t2 - t1)) / iters
-            best = min(best, per_iter)
+            for j in (0, 1):
+                t0 = time.perf_counter()
+                direct_solve(c_o, plan, params[j], cfg.oversample)
+                best[j] = min(best[j], time.perf_counter() - t0)
+        per_iter = (best[0] - best[1]) / iters
         t0 = time.perf_counter()
         for _ in range(10):
             dsp.fft_oversampled(dsp.ifft_oversampled(c_o, cfg.oversample), cfg.oversample)
         fft_pair = (time.perf_counter() - t0) / 10.0
-        rows.append((n, n * cfg.oversample, float(best), float(fft_pair)))
+        rows.append((n, n * cfg.oversample, float(per_iter), float(fft_pair)))
     return rows
 
 

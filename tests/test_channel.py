@@ -23,10 +23,11 @@ from papradmm.config import ExperimentConfig
 from papradmm.experiments import (
     _NEGATIVE_NOISE_STAGE,
     _NOISE_STAGE,
+    _generator,
     _noise_seeds,
-    _streams,
     _unit_noise,
     rng_for,
+    seed_table,
 )
 
 PLAN = CarrierPlan.default(64, 12)
@@ -116,8 +117,8 @@ class TestAwgn:
         cfg, lo, hi, n_samples = ExperimentConfig(seed=5), 128, 256, 256
         stage = (_NOISE_STAGE, key) if key >= 0 else (_NEGATIVE_NOISE_STAGE, -key)
         rails = np.empty((hi - lo, 2, n_samples))
-        for row, rng in zip(rails, _streams(cfg.seed, lo, hi, *stage)):
-            rng.standard_normal(out=row)
+        for row, words in zip(rails, seed_table(cfg.seed, lo, hi, *stage)):
+            _generator(words).standard_normal(out=row)
         got = unit_noise(cfg.seed, key, lo, hi, n_samples)
         assert got.dtype == np.complex128 and got.flags.c_contiguous
         assert np.array_equal(got, rails[:, 0] + 1j * rails[:, 1])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from papradmm.cli import main
+from papradmm.cli import build_parser, load_config, main
 from papradmm.config import ConfigError, ExperimentConfig
 from papradmm import dsp, experiments, metrics
 from papradmm.direct import direct_solve
@@ -23,7 +23,7 @@ from papradmm.relax import relax_solve
 
 
 def _batch(cfg, n_symbols):
-    plan = experiments.make_plan(cfg)
+    plan = dsp.CarrierPlan.default(cfg.n_carriers, cfg.n_free)
     const = dsp.Constellation.from_name(cfg.constellation)
     bits = experiments.generate_bits(cfg, n_symbols, const, plan)
     return dsp.map_bits(bits, const, plan), plan
@@ -51,7 +51,7 @@ WRONG_VALUES = {
 class TestConfig:
     def test_defaults_validate(self):
         cfg = ExperimentConfig().validate()
-        assert experiments.make_plan(cfg).n_data == 52
+        assert dsp.CarrierPlan.default(cfg.n_carriers, cfg.n_free).n_data == 52
 
     def test_per_solver_penalty_defaults(self):
         cfg = ExperimentConfig()
@@ -199,8 +199,8 @@ class TestSeedTable:
     def test_rows_are_numpys_seed_sequence(self, seed, n_rows, lo, key):
         table = experiments.seed_table(seed, lo, lo + n_rows, *key)
         assert table.shape == (n_rows, 4) and table.dtype == np.uint64
-        streams = experiments._streams(seed, lo, lo + n_rows, *key)
-        for i, words, rng in zip(range(lo, lo + n_rows), table, streams):
+        for i, words in zip(range(lo, lo + n_rows), table):
+            rng = experiments._generator(words)
             seq = np.random.SeedSequence(entropy=seed, spawn_key=(i, *key))
             assert np.array_equal(words, seq.generate_state(4, np.uint64)), i
             want = np.random.default_rng(seq)
@@ -225,7 +225,7 @@ class TestGenerateBits:
         cfg = ExperimentConfig().with_overrides(
             seed=seed, constellation=constellation, n_free=n_free
         )
-        plan = experiments.make_plan(cfg)
+        plan = dsp.CarrierPlan.default(cfg.n_carriers, cfg.n_free)
         const = dsp.Constellation.from_name(constellation)
         n = plan.n_data * const.bits_per_symbol
         bits = experiments.generate_bits(cfg, n_symbols, const, plan)
@@ -429,6 +429,34 @@ class TestCli:
         assert code == 2
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "table2.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag,text,key",
+        [("--symbols", "many", "n_symbols"), ("--workers", "2.5", "workers"), ("--beta", "fast", "beta")],
+    )
+    def test_malformed_flag_exit_code(self, tmp_path, capsys, flag, text, key):
+        # a flag's text is parsed by the same code as a config file's value
+        code = main(["table2", flag, text, "--out", str(tmp_path)])
+        assert code == 2
+        assert f"configuration error: cannot parse {key}={text!r}" in capsys.readouterr().err
+        assert not (tmp_path / "table2.csv").exists()
+
+    def test_each_flag_sets_its_key(self, tmp_path):
+        argv = [
+            "ber", "--beta", "0.3", "--alpha-db", "5.5", "--rho", "700", "--rho-tilde", "50",
+            "--symbols", "17", "--iters", "3", "--seed", "9", "--channel", "multipath",
+            "--workers", "2", "--out", str(tmp_path),
+        ]
+        want = ExperimentConfig(
+            beta=0.3, alpha_db=5.5, rho=700.0, rho_tilde=50.0, n_symbols=17, iterations=3,
+            seed=9, channel="multipath", workers=2, out_dir=str(tmp_path),
+        )
+        assert load_config(build_parser().parse_args(argv)) == want
+
+    def test_write_csv_renders_non_finite_floats(self, tmp_path):
+        row = (float("nan"), float("inf"), float("-inf"), -0.0, 1e-300, 3, "x")
+        path = experiments.write_csv(tmp_path / "cells.csv", [row, tuple(map(np.float64, row[:5]))])
+        assert path.read_text() == "nan,inf,-inf,-0,1e-300,3,x\nnan,inf,-inf,-0,1e-300\n"
 
     def test_negative_ebn0_point_has_its_own_stream(self, tmp_path):
         # round(1000 * ebn0) < 0 was passed to SeedSequence as a spawn key
@@ -969,6 +997,22 @@ class TestBench:
         r_sq, slope = experiments.loglog_fit(sizes, times)
         assert r_sq == pytest.approx(1.0)
         assert slope == pytest.approx(1.0)
+
+    def test_a_stalled_zero_sweep_call_moves_no_estimate(self, monkeypatch):
+        # a fake clock: each solve takes 0.1 plus its sweep count, and the
+        # third 0-sweep call stalls by 100; each point then reads 1 per sweep
+        clock, zero_calls = [0.0], []
+
+        def fake_solve(c_o, plan, params, oversample):
+            if params.max_iters == 0:
+                zero_calls.append(None)
+                clock[0] += 100.0 if len(zero_calls) == 3 else 0.0
+            clock[0] += 0.1 + params.max_iters
+
+        monkeypatch.setattr(experiments.time, "perf_counter", lambda: clock[0])
+        monkeypatch.setattr(experiments, "direct_solve", fake_solve)
+        rows = experiments.run_bench(ExperimentConfig())
+        assert [row[2] for row in rows[1:]] == pytest.approx([1.0] * len(experiments.BENCH_SIZES))
 
 
 @pytest.mark.parametrize("command", ["table2", "ber"])

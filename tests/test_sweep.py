@@ -188,7 +188,7 @@ def test_row_block_working_set(engine, limit_mb):
     # array) at beta 0.15 and 5 sweeps.  Above glibc's ~8 MB trim threshold
     # the heap top is handed back and faulted in again block after block.
     cfg = ExperimentConfig()
-    plan = experiments.make_plan(cfg)
+    plan = dsp.CarrierPlan.default(cfg.n_carriers, cfg.n_free)
     const = dsp.Constellation.from_name(cfg.constellation)
     c_o = dsp.map_bits(experiments.generate_bits(cfg, 128, const, plan), const, plan)
     params = experiments.admm_params(cfg, solver=engine, beta=0.15, iterations=5)
