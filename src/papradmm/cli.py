@@ -4,7 +4,7 @@ Subcommands mirror the experiment drivers; every run writes one CSV under
 ``--out`` and prints a one-line summary per result group.  Flag values are
 parsed and checked as a config file's are, by
 :meth:`ExperimentConfig.with_overrides`.  Exit codes: 0 success,
-2 configuration error (a malformed flag too), 3 numerical failure.
+2 configuration error (a malformed or unknown flag too), 3 numerical failure.
 """
 
 import argparse
@@ -53,7 +53,10 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage error or --help
+        return exc.code
     try:
         cfg = load_config(args)
         out_dir = Path(cfg.out_dir)

@@ -102,12 +102,10 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
         s.update(c=c_new, x=x_new, ys=ys_new, mu=mu)
         return change, mu
 
-    sweeps = run_sweeps(c_o, plan, params, oversample, start, step)
-    return sweeps.result(
-        DirectReport,
-        y_final=rho * sweeps.state["ys"],
-        mu_final=sweeps.state["mu"],
-    )
+    def report(c_o, s, ran, **fields):
+        return DirectReport(**fields, y_final=rho * s["ys"], mu_final=s["mu"])
+
+    return run_sweeps(c_o, plan, params, oversample, start, step, report)
 
 
 def direct_kkt_residual(

@@ -223,7 +223,7 @@ def rng_for(seed: int, *key: int) -> "np.random.Generator":
     """Independent generator for one (symbol, stage[, key]) stream.
 
     ``key[0]`` is the symbol.  The stream is that of
-    ``default_rng(SeedSequence(entropy=seed, spawn_key=key))``.  No driver
+    ``Generator(PCG64(SeedSequence(entropy=seed, spawn_key=key)))``.  No driver
     calls it: of their streams only ``run_ber``'s noise needs a ``Generator``.
     """
     return _generator(seed_table(seed, key[0], key[0] + 1, *key[1:])[0])
@@ -635,13 +635,9 @@ def run_psd(cfg: ExperimentConfig):
 def run_bench(cfg: ExperimentConfig):
     """Per-iteration wall time of the direct engine versus transform size."""
     rows = [("n_carriers", "ln", "seconds_per_iteration", "fft_pair_seconds")]
-    rng = np.random.default_rng(cfg.seed)
     for n in BENCH_SIZES:
-        n_data = n - max(2, n // 8)
-        plan = dsp.CarrierPlan.default(n, n - n_data)
-        const = dsp.Constellation.qpsk()
-        bits = rng.integers(0, 2, size=(BENCH_BATCH, plan.n_data * 2))
-        c_o = dsp.map_bits(bits, const, plan)
+        size_cfg = cfg.with_overrides(n_carriers=n, n_free=max(2, n // 8), constellation="qpsk")
+        plan, _, _, c_o = _symbols(size_cfg, BENCH_BATCH)
         params_warm = admm_params(cfg, solver="direct", iterations=1, eps=0.0)
         direct_solve(c_o, plan, params_warm, cfg.oversample)
         iters = 8

@@ -233,35 +233,37 @@ def relax_solve(
             lagrangians.append(lagr)
         return du_sq + dw_sq, mu
 
-    sweeps = run_sweeps(c_o, plan, params, oversample, start, step)
-    s = sweeps.state
-    trace = lhs = rhs = identity = None
-    if certify:
-        # a stopped row repeats the Lagrangian of its stop sweep and records
-        # a zero step, so both of its sides are 0 from then on
-        sweep_no = np.arange(len(lagrangians))[:, None]
-        trace = np.take_along_axis(np.array(lagrangians), np.minimum(sweep_no, sweeps.ran), 0)
-        lhs, rhs, _ = descent_check(trace[:-1], trace[1:], sweeps.residual, rho, rho_tilde)
-        identity = np.array(identities).reshape(sweeps.residual.shape)
-        identity[sweep_no[1:] > sweeps.ran] = 0.0
-    # A bypassed row transmits x_raw = A c_o, so its coupling gap is zero.
-    consensus_gap = row_norm(s["ac"] - s["x"]) ** 2
-    consensus_gap[sweeps.bypassed] = 0.0
-    return sweeps.result(
-        RelaxReport,
-        lagrangian_initial=lagrangians[0],
-        lagrangian=trace,
-        descent_lhs=lhs,
-        descent_rhs=rhs,
-        identity_residual=identity,
-        consensus_gap=consensus_gap,
-        sd_dist_initial=sd_dist_initial,
-        sd_dist_final=row_norm(np.take(s["c"] - sweeps.c_o, plan.data_idx, axis=-1)) ** 2,
-        uw_gap_final=row_norm(s["u"] - s["w"]) ** 2,
-        u_final=s["u"],
-        w_final=s["w"],
-        feasible_start=feasible,
-    )
+    def report(c_o, s, ran, **fields):
+        residual, bypassed = fields["residual"], fields["bypassed"]
+        trace = lhs = rhs = identity = None
+        if certify:
+            # a stopped row repeats the Lagrangian of its stop sweep and records
+            # a zero step, so both of its sides are 0 from then on
+            sweep_no = np.arange(len(lagrangians))[:, None]
+            trace = np.take_along_axis(np.array(lagrangians), np.minimum(sweep_no, ran), 0)
+            lhs, rhs, _ = descent_check(trace[:-1], trace[1:], residual, rho, rho_tilde)
+            identity = np.array(identities).reshape(residual.shape)
+            identity[sweep_no[1:] > ran] = 0.0
+        # A bypassed row transmits x_raw = A c_o, so its coupling gap is zero.
+        consensus_gap = row_norm(s["ac"] - s["x"]) ** 2
+        consensus_gap[bypassed] = 0.0
+        return RelaxReport(
+            **fields,
+            lagrangian_initial=lagrangians[0],
+            lagrangian=trace,
+            descent_lhs=lhs,
+            descent_rhs=rhs,
+            identity_residual=identity,
+            consensus_gap=consensus_gap,
+            sd_dist_initial=sd_dist_initial,
+            sd_dist_final=row_norm(np.take(s["c"] - c_o, plan.data_idx, axis=-1)) ** 2,
+            uw_gap_final=row_norm(s["u"] - s["w"]) ** 2,
+            u_final=s["u"],
+            w_final=s["w"],
+            feasible_start=feasible,
+        )
+
+    return run_sweeps(c_o, plan, params, oversample, start, step, report)
 
 
 def iteration_complexity_bound(report: RelaxReport, params: AdmmParams, eps: float):

@@ -6,7 +6,9 @@ step in closed form once per sweep; they differ only in how the coupling
 state, and :func:`run_sweeps` owns everything around it: the input check, the
 single-symbol round trip, the bypass of symbols that already meet the PAPR
 target, the per-symbol stop, the state that stopped symbols keep, the
-stacking of the per-sweep squared steps and the FCPO flag.
+stacking of the per-sweep squared steps and the FCPO flag.  Each engine
+supplies only its start state, its step and its report, which the loop
+builds once, after the last sweep.
 """
 
 import numpy as np
@@ -50,45 +52,8 @@ class SweepReport:
     residual: np.ndarray
 
 
-@dataclass
-class Sweeps:
-    """Outcome of :func:`run_sweeps`, always on a 2-D batch.
-
-    ``state`` holds each symbol's state at its stop or after the last sweep,
-    with the raw signal and ``c_o`` in the bypassed rows of ``"x"`` and
-    ``"c"``.  ``ran`` counts each symbol's sweeps, its stop sweep included.
-    ``residual`` has shape ``(n_iters, K)``, also when no sweep ran.
-    """
-
-    c_o: np.ndarray
-    state: dict
-    bypassed: np.ndarray
-    converged: np.ndarray
-    fcpo_active: np.ndarray
-    residual: np.ndarray
-    ran: np.ndarray
-    single: bool
-
-    def result(self, report_type, **fields):
-        """``(x, c, report)``, with ``x`` and ``c`` shaped like the input; the
-        ``report_type`` report takes the loop's :class:`SweepReport` fields
-        and ``fields`` for the rest."""
-        report = report_type(
-            iterations=len(self.residual),
-            bypassed=self.bypassed,
-            converged=self.converged,
-            fcpo_active=self.fcpo_active,
-            residual=self.residual,
-            **fields,
-        )
-        x, c = self.state["x"], self.state["c"]
-        if self.single:
-            return x[0], c[0], report
-        return x, c, report
-
-
-def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step) -> Sweeps:
-    """Run an engine's sweeps until every symbol stops.
+def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step, report):
+    """Run an engine's sweeps until every symbol stops; return ``(x, c, report)``.
 
     ``start(c_o, x_raw)`` returns the initial state: a dict of per-symbol
     arrays (leading axis = symbol) that holds at least ``"c"`` and ``"x"``.
@@ -97,15 +62,16 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step)
     share memory with ``c_o``, ``x_raw`` or another state array.
     ``step(c_o, state)`` updates every symbol's ``state`` in place, row by
     row, and returns ``(residual, mu)``: the per-symbol squared step, which
-    the stop at ``params.eps`` compares and ``Sweeps.residual`` stacks, and
-    the FCPO multiplier, whose ``mu > 0`` the loop ORs into ``fcpo_active``
-    on the symbols that ran the sweep.  A stopped symbol keeps sweeping, so
-    no row of a step may depend on another.  The loop copies a symbol's
-    state right before the first step after its stop (before the first step,
-    if it is bypassed), writes it back after the last sweep and records a
-    zero step for it from its stop on.  Then the raw signal and ``c_o`` go
-    into the bypassed rows of ``"x"`` and ``"c"``, and the engine returns
-    :meth:`Sweeps.result` with its own report fields.
+    the stop at ``params.eps`` compares, and the FCPO multiplier, whose
+    ``mu > 0`` the loop ORs into ``fcpo_active`` on the symbols that ran the
+    sweep.  A stopped symbol keeps sweeping, so no row of a step may depend
+    on another.  The loop copies a symbol's state right before the first step
+    after its stop (before the first step, if it is bypassed), writes it back
+    after the last sweep and records a zero step for it from its stop on.
+    Then the raw signal and ``c_o`` go into the bypassed rows of ``"x"`` and
+    ``"c"``, and ``report(c_o, state, ran, **fields)`` builds the engine's
+    report from the checked 2-D input, the final state, each symbol's sweep
+    count (its stop sweep included) and the :class:`SweepReport` fields.
     """
     c_o = dsp._as_complex(c_o)
     single = c_o.ndim == 1
@@ -143,13 +109,10 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step)
     if bypassed.any():
         np.copyto(state["x"], x_raw, where=bypassed[:, None])
         np.copyto(state["c"], c_o, where=bypassed[:, None])
-    return Sweeps(
-        c_o=c_o,
-        state=state,
-        bypassed=bypassed,
-        converged=done,
-        fcpo_active=fcpo_active,
-        residual=np.array(residuals).reshape(len(residuals), len(c_o)),
-        ran=ran,
-        single=single,
+    residual = np.array(residuals).reshape(len(residuals), len(c_o))
+    rep = report(
+        c_o, state, ran, iterations=len(residual), bypassed=bypassed, converged=done,
+        fcpo_active=fcpo_active, residual=residual,
     )
+    x, c = state["x"], state["c"]
+    return (x[0], c[0], rep) if single else (x, c, rep)

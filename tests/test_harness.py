@@ -441,6 +441,17 @@ class TestCli:
         assert f"configuration error: cannot parse {key}={text!r}" in capsys.readouterr().err
         assert not (tmp_path / "table2.csv").exists()
 
+    def test_unknown_flag_exit_code(self, tmp_path, capsys):
+        # argparse prints its usage error; main returns its status, not SystemExit
+        code = main(["table2", "--bogus", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
+        assert not (tmp_path / "table2.csv").exists()
+
+    def test_help_exit_code(self, capsys):
+        assert main(["table2", "--help"]) == 0
+        assert "--symbols" in capsys.readouterr().out
+
     def test_each_flag_sets_its_key(self, tmp_path):
         argv = [
             "ber", "--beta", "0.3", "--alpha-db", "5.5", "--rho", "700", "--rho-tilde", "50",
@@ -1013,6 +1024,43 @@ class TestBench:
         monkeypatch.setattr(experiments, "direct_solve", fake_solve)
         rows = experiments.run_bench(ExperimentConfig())
         assert [row[2] for row in rows[1:]] == pytest.approx([1.0] * len(experiments.BENCH_SIZES))
+
+    def test_each_size_solves_the_driver_symbols_of_its_config(self, monkeypatch):
+        # the batch of size n is symbols 0..BENCH_BATCH-1 of the QPSK config
+        # with n carriers and max(2, n // 8) free ones, as every driver draws
+        seen = {}
+
+        def recording_solve(c_o, plan, params, oversample):
+            seen.setdefault(plan.n_carriers, []).append(c_o)
+
+        monkeypatch.setattr(experiments, "direct_solve", recording_solve)
+        cfg = ExperimentConfig(seed=7)
+        experiments.run_bench(cfg)
+        assert sorted(seen) == sorted(experiments.BENCH_SIZES)
+        for n, batches in seen.items():
+            size_cfg = cfg.with_overrides(n_carriers=n, n_free=max(2, n // 8), constellation="qpsk")
+            c_o, plan = _batch(size_cfg, experiments.BENCH_BATCH)
+            assert plan.n_free == max(2, n // 8)
+            for got in batches:
+                assert np.array_equal(got, c_o), n
+
+    def test_bench_loads_no_numpy_random(self):
+        # the solve is stubbed: only the symbol draw and the FFT pair run
+        import papradmm
+
+        src = str(Path(papradmm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys; from papradmm import experiments; "
+            "from papradmm.config import ExperimentConfig; "
+            "experiments.direct_solve = lambda *args: None; "
+            "experiments.run_bench(ExperimentConfig()); "
+            "print([m for m in ('numpy.random', 'secrets', '_hashlib') if m in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("command", ["table2", "ber"])

@@ -13,6 +13,7 @@ sweep, however long the others sweep on.
 import functools
 import tracemalloc
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,6 +105,11 @@ class TestOwnership:
         kept = c_o.copy()
         x, c, rep = solve(engine, c_o, max_iters=max_iters, eps=0.0, **kwargs)
         assert c_o.tobytes() == kept.tobytes()
+        if batch == "single_row":
+            # the loop hands a 1-D input back 1-D; the report keeps its row axis
+            assert x.shape == (256,) and c.shape == (64,)
+            assert rep.bypassed.shape == (1,)
+            assert rep.residual.shape == (rep.iterations, 1)
         if batch == "with_bypassed":
             assert rep.bypassed.tolist() == [False] * 3 + [True] + [False] * 2
             # bypassed rows transmit the raw signal and keep c_o
@@ -162,8 +168,12 @@ def test_loop_holds_the_state_of_each_stopped_row():
         return change, s["k"] - 3.0
 
     # unit rows: the squared step of sweep k is rate**(2k - 2) * (1 - rate)**2
+    def report(c_o, state, ran, **fields):
+        return SimpleNamespace(state=state, ran=ran, **fields)
+
     params = AdmmParams(alpha=ALPHA, beta=0.15, rho=100.0, max_iters=12, eps=1e-4)
-    sweeps = run_sweeps(c_o, PLAN, params, 4, start, step)
+    x_out, c_out, sweeps = run_sweeps(c_o, PLAN, params, 4, start, step, report)
+    assert x_out is sweeps.state["x"] and c_out is sweeps.state["c"]
     stop = [7, 3, 12, 0]
     assert sweeps.ran.tolist() == stop
     assert sweeps.converged.tolist() == [True, True, False, True]
