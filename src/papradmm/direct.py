@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import dsp
 from .params import AdmmParams
 from .subproblems import c_update, x_update, z_projection
-from .sweep import SweepReport, row_norm, run_sweeps
+from .sweep import SweepReport, row_norm, run_sweeps, split_raw
 
 
 @dataclass
@@ -54,7 +54,7 @@ def augmented_lagrangian(c, ac, x, y, c_o, plan, rho: float) -> np.ndarray:
     )
 
 
-def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int):
+def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int, *, raw=None):
     """Run the direct engine on a batch of symbols.
 
     Parameters
@@ -66,6 +66,13 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
         symbol stops once its squared step ``||dc||^2 + ||dx||^2`` falls
         below ``params.eps``; for :func:`direct_kkt_residual` to certify a
         bound ``tau``, pick ``params.eps`` of about ``tau**2`` or less.
+    raw : tuple, optional
+        ``(x_raw, x_proj)`` for a caller that solves the same rows more than
+        once: the raw signal ``ifft_oversampled(c_o, oversample)`` and its
+        projection ``x_update(x_raw, params.alpha)``, or ``None`` in its
+        place.  The start takes ``x_proj`` over and writes into it, so it
+        may not share memory with ``x_raw``; the result has the bits of a
+        call without ``raw``.
 
     Returns
     -------
@@ -78,11 +85,16 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
     """
     rho = params.rho
     r = rho / (plan.n_carriers * oversample)
+    x_raw, x_proj = split_raw(raw, c_o, oversample)
+    # the start hands x_proj to the state, so that a sweep can free it
+    del raw
 
     def start(c_o, x_raw):
+        nonlocal x_proj
+        x, x_proj = x_proj, None
         return {
             "c": c_o.copy(),
-            "x": x_update(x_raw, params.alpha),
+            "x": x_update(x_raw, params.alpha) if x is None else x,
             "ys": np.zeros_like(x_raw),
             "mu": np.zeros(c_o.shape[0]),
         }
@@ -105,7 +117,7 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
     def report(c_o, s, ran, **fields):
         return DirectReport(**fields, y_final=rho * s["ys"], mu_final=s["mu"])
 
-    return run_sweeps(c_o, plan, params, oversample, start, step, report)
+    return run_sweeps(c_o, plan, params, oversample, start, step, report, x_raw)
 
 
 def direct_kkt_residual(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dsp, metrics
+from . import direct, dsp, metrics
 from .channel import (
     NATIVE_BANDWIDTH_HZ,
     channel_frequency_response,
@@ -45,7 +45,8 @@ _NEGATIVE_NOISE_STAGE = 2
 # Solvers of the ccdf, ber and psd drivers, in row order; "none" transmits
 # the raw signal
 SOLVERS = ("none", "direct", "relax", "rcf")
-# FCPO bounds of the table2 rows, ascending: run_table2 walks them upward
+# FCPO bounds of the table2 rows, ascending: run_table2 re-solves the last
+# one only on the rows whose bound was active at the one before
 BETA_GRID = (0.0, 0.15, 0.3)
 # Tie penalties of the consensus-gap rows (rho = 3*rho_tilde)
 RHO_TILDE_GRID = (10.0, 30.0, 100.0, 300.0)
@@ -61,12 +62,12 @@ BENCH_REPEATS = 5
 # one block's working set peaks at about 5.8 MB for the relaxed engine and
 # 4.3 MB for the direct one (tracemalloc, 5 sweeps; tests/test_sweep.py pins
 # 6.2 and 4.6 MB).  That is below glibc's heap-trim threshold, which is
-# twice the largest mmapped chunk freed so far: the batch x that every solve
-# allocates and frees (4 MB at 1000 symbols) lifts it to ~8 MB, so
+# twice the largest mmapped chunk freed so far: the batch array that every
+# driver allocates and frees (solve_batch's x, or run_table2's c of the
+# full-beta solves, 4 MB each at 1000 symbols) lifts it to ~8 MB, so
 # block-sized arrays are reused from the allocator's free lists rather than
 # handed back to the OS and faulted in again, and the working set is per
-# block, not per batch.  That is why run_table2, which reads only c, still
-# has solve_batch build x.
+# block, not per batch.
 BLOCK_SAMPLES = 2**15
 
 
@@ -288,6 +289,12 @@ def _solve_chunk(cfg, solver, c_o, plan, beta=None):
     return x, c, report.fcpo_active
 
 
+def _c_and_flags(solved):
+    """``(c, fcpo_active)`` of an engine's ``(x, c, report)``; the rest is freed."""
+    _, c, report = solved
+    return c, report.fcpo_active
+
+
 def _run_blocks(workers: int, n_rows: int, row_samples: int, task) -> list:
     """``task(lo, hi)`` on each row block of a batch, results in block order.
 
@@ -363,10 +370,14 @@ def write_csv(path, rows):
 def run_table2(cfg: ExperimentConfig):
     """EVM of both engines over the beta grid (dB, 4 decimals).
 
-    Each engine walks ``BETA_GRID`` upward and, after the first beta,
-    re-solves only the rows whose FCPO bound was active at the previous beta
-    (``fcpo_active``); every other row keeps its ``c``, with the bits a full
-    solve would give it.  The reuse is exact:
+    One :func:`_run_blocks` pass solves the whole grid.  Each row block
+    builds its raw signal and that signal's PAPR projection once, and every
+    (engine, beta) solve of the block starts from the pair (the engines'
+    ``raw=``), which depends on neither.  Each engine solves the
+    block in full at every beta but the last, in ``BETA_GRID`` order, and at
+    the last beta re-solves only the rows whose FCPO bound was active at the
+    one before (``fcpo_active``); every other row keeps its ``c``, with the
+    bits a full solve would give it.  The reuse is exact:
 
     * ``c_update``'s multiplier is ``max(0, ((1+r)*||v_F|| -
       sqrt(beta)*r*||v_D||) / denom)``.  For the same ``v``, a larger beta
@@ -378,30 +389,64 @@ def run_table2(cfg: ExperimentConfig):
       and the stop rule read no beta, so by induction over the sweeps the
       row's whole trajectory, its stop and its flag are the same.
     * At beta = 0 the free carriers are pinned and ``mu = inf``: every row
-      that sweeps is flagged, so the next beta re-solves all of them.
+      that sweeps is flagged.
     * A row's solve does not depend on its batch (see :func:`solve_batch`),
-      so a re-solved subset gets the bits of the full batch.
+      so a re-solved subset, or a block, gets the bits of the full batch.
 
-    When every row is flagged, the whole batch is solved as it stands, with
-    no gather and no scatter.  Each solve's ``x`` is freed as the solve
-    returns, and the previous beta's ``c`` before a full re-solve, so no
-    other solve's batch is alive during a solve.
+    Every solve but the last full one starts from a copy of the projection,
+    which the engine writes into; the last takes it over.  Of each solve
+    only ``c`` and the flags are kept: the engine's ``x`` and report are
+    freed as it returns.  The full solves' ``c`` go into one batch array,
+    and each engine's last-beta rows are written over its ``c`` at the beta
+    before, once that beta's EVM is taken.
     """
     plan, _, _, c_o = _symbols(cfg, cfg.n_symbols)
+    n_rows, n_carriers = c_o.shape
+    engines = ("direct", "relax")
+    *full, last = BETA_GRID
+    params = {
+        (solver, beta): admm_params(cfg, solver=solver, beta=beta)
+        for solver in engines for beta in BETA_GRID
+    }
+    c = np.empty((len(engines), len(full), n_rows, n_carriers), dtype=np.complex128)
+
+    def solve_block(lo, hi):
+        c_blk = c_o[lo:hi]
+        x_raw = dsp.ifft_oversampled(c_blk, cfg.oversample)
+        # the binding the direct engine's start calls, so that a tracer
+        # wrapping it counts this projection's rows too
+        x_proj = direct.x_update(x_raw, db_to_linear(cfg.alpha_db))
+        resolved = {}
+        for e, solver in enumerate(engines):
+            engine = direct_solve if solver == "direct" else relax_solve
+            for b, beta in enumerate(full):
+                # An engine writes into its start, so every full solve but the
+                # last gets a copy, made in the call so that the engine holds
+                # it alone and its sweeps free it.
+                takes = e == len(engines) - 1 and b == len(full) - 1
+                c[e, b, lo:hi], active = _c_and_flags(engine(
+                    c_blk, plan, params[solver, beta], cfg.oversample,
+                    raw=(x_raw, x_proj if takes else x_proj.copy()),
+                ))
+                if takes:
+                    x_proj = None
+            redo = np.flatnonzero(active)
+            if redo.size:
+                c_redo, _ = _c_and_flags(engine(
+                    c_blk[redo], plan, params[solver, last], cfg.oversample,
+                    raw=(x_raw[redo], None if x_proj is None else x_proj[redo]),
+                ))
+                resolved[e] = lo + redo, c_redo
+        return resolved
+
+    resolved = _run_blocks(cfg.workers, n_rows, cfg.oversample * n_carriers, solve_block)
     rows = [("solver", "beta", "evm_db")]
-    for solver in ("direct", "relax"):
-        c = fcpo_active = None
-        for beta in BETA_GRID:
-            if fcpo_active is None or fcpo_active.all():
-                c = None
-                c, fcpo_active = solve_batch(cfg, solver, c_o, plan, beta=beta)[1:]
-            else:
-                redo = np.flatnonzero(fcpo_active)
-                c[redo], fcpo_active[redo] = solve_batch(
-                    cfg, solver, c_o[redo], plan, beta=beta
-                )[1:]
-            value = metrics.evm_db(c, c_o, plan)
-            rows.append((solver, float(beta), round(value, 4)))
+    for e, solver in enumerate(engines):
+        for b, beta in enumerate(full):
+            rows.append((solver, float(beta), round(metrics.evm_db(c[e, b], c_o, plan), 4)))
+        for redo, c_redo in (block[e] for block in resolved if e in block):
+            c[e, -1, redo] = c_redo
+        rows.append((solver, float(last), round(metrics.evm_db(c[e, -1], c_o, plan), 4)))
     return rows
 
 

@@ -39,7 +39,7 @@ def c_update(v, plan: CarrierPlan, beta: float, r: float):
         raise ValueError(f"beta must be >= 0, got {beta}")
     if r <= 0:
         raise ValueError(f"r must be > 0, got {r}")
-    # one gather per carrier set; each is divided in place into c below
+    # one gather per carrier set; each is scaled in place into c below
     v_data = np.take(v, plan.data_idx, axis=-1)
     v_free = np.take(v, plan.free_idx, axis=-1)
     d_norm = row_norm(v_data)
@@ -47,9 +47,11 @@ def c_update(v, plan: CarrierPlan, beta: float, r: float):
     if np.any((d_norm == 0.0) & (f_norm == 0.0)):
         raise DegenerateSymbolError("c_update input is identically zero")
 
+    # Multiplying by the reciprocal of a positive real divisor has the bits
+    # of the complex division, which reduces to it, without its cost.
     c = np.empty_like(v)
     if beta == 0.0:
-        c[..., plan.data_idx] = np.divide(v_data, 1.0 + r, out=v_data)
+        c[..., plan.data_idx] = np.multiply(v_data, 1.0 / (1.0 + r), out=v_data)
         c[..., plan.free_idx] = 0.0
         return c, np.full(v.shape[:-1], np.inf)
 
@@ -62,10 +64,11 @@ def c_update(v, plan: CarrierPlan, beta: float, r: float):
     numer = (1.0 + r) * f_norm - sb * r * d_norm
     denom = 2.0 * (beta * f_norm + sb * d_norm)
     mu = np.maximum(0.0, numer / denom)
-    c[..., plan.data_idx] = np.divide(
-        v_data, (1.0 + r - 2.0 * mu * beta)[..., None], out=v_data
+    # both divisors are positive: 2*mu*beta < 1 + r while ||v_D|| > 0
+    c[..., plan.data_idx] = np.multiply(
+        v_data, (1.0 / (1.0 + r - 2.0 * mu * beta))[..., None], out=v_data
     )
-    c[..., plan.free_idx] = np.divide(v_free, (r + 2.0 * mu)[..., None], out=v_free)
+    c[..., plan.free_idx] = np.multiply(v_free, (1.0 / (r + 2.0 * mu))[..., None], out=v_free)
     return c, mu
 
 
@@ -81,21 +84,21 @@ def _clip_scale(mag, mag_sq, n_nonzero, alpha: float):
     """
     n = mag.shape[-1]
     cap_sq = alpha / n
-    k = np.arange(n)
-    room = 1.0 - k * cap_sq
-    # Only k with room > 0 are admissible, so the sort's tail is divided on
-    # those columns alone; on rows with fewer nonzero entries, the columns
-    # k >= n_nonzero are masked to inf.
-    k_max = np.count_nonzero(room > 0.0)
-    # tail[:, k] = S_k, summed from the smallest magnitude up; squaring is
-    # monotone, so sorting the squares sorts the magnitudes
+    # Only k with room 1 - k*cap_sq > 0 are admissible, so the sort's tail is
+    # divided on those columns alone; on rows with fewer nonzero entries, the
+    # columns k >= n_nonzero are masked to inf.
+    k_max = np.count_nonzero(1.0 - np.arange(n) * cap_sq > 0.0)
+    # tail[:, j] sums the j + 1 smallest squares (squaring is monotone, so
+    # sorting the squares sorts the magnitudes); its last k_max columns, a
+    # contiguous slice, hold S_k for k = k_max - 1 down to 0
+    k = np.arange(k_max - 1, -1, -1)
     tail = np.sort(mag_sq, axis=-1)
     np.cumsum(tail, axis=-1, out=tail)
-    tail = tail[:, ::-1][:, :k_max]
-    two_gamma_sq = np.divide(tail, room[:k_max], out=tail)
+    tail = tail[:, n - k_max:]
+    two_gamma_sq = np.divide(tail, 1.0 - k * cap_sq, out=tail)
     short = np.flatnonzero(n_nonzero < k_max)
     if short.size:
-        admissible = k[:k_max] < n_nonzero[short, None]
+        admissible = k < n_nonzero[short, None]
         two_gamma_sq[short] = np.where(admissible, two_gamma_sq[short], np.inf)
     two_gamma = np.sqrt(two_gamma_sq.min(axis=-1))
     saturated = (n_nonzero * cap_sq < 1.0 - 1e-14) & (n_nonzero > 0)
@@ -127,7 +130,10 @@ def _magnitudes(b, alpha: float):
         raise ValueError(f"alpha must be >= 1 (linear), got {alpha}")
     flat = b.reshape(-1, b.shape[-1])
     mag = np.abs(flat)
-    return flat, mag, np.count_nonzero(mag, axis=-1)
+    if mag.size and mag.min() == 0.0:
+        return flat, mag, np.count_nonzero(mag, axis=-1)
+    # no zero entry: every row has n nonzero ones
+    return flat, mag, np.full(len(mag), mag.shape[-1], dtype=np.intp)
 
 
 def z_projection(b, alpha: float):

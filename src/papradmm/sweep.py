@@ -52,14 +52,41 @@ class SweepReport:
     residual: np.ndarray
 
 
-def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step, report):
+def split_raw(raw, c_o, oversample: int):
+    """``(x_raw, x_proj)`` of an engine's ``raw=`` argument, or ``(None, None)``.
+
+    ``raw`` is the pair of the raw signal ``ifft_oversampled(c_o,
+    oversample)`` and its PAPR projection, each shaped like that transform;
+    ``x_proj`` may be ``None``.  A mismatched shape raises ``ValueError``.
+    Both are returned as 2-D batches; ``x_proj`` is not copied.
+    """
+    if raw is None:
+        return None, None
+    x_raw, x_proj = raw
+    shape = np.shape(c_o)[:-1] + (oversample * np.shape(c_o)[-1],)
+
+    def checked(name, a):
+        if np.shape(a) != shape:
+            raise ValueError(f"{name} has shape {np.shape(a)}, expected {shape}")
+        return np.atleast_2d(dsp._as_complex(a))
+
+    return checked("x_raw", x_raw), None if x_proj is None else checked("x_proj", x_proj)
+
+
+def run_sweeps(
+    c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step, report, x_raw=None
+):
     """Run an engine's sweeps until every symbol stops; return ``(x, c, report)``.
 
+    ``x_raw``, if given, is the 2-D raw signal ``ifft_oversampled(c_o,
+    oversample)`` of a caller that already holds it (see :func:`split_raw`);
+    the loop reads it and never writes it.
     ``start(c_o, x_raw)`` returns the initial state: a dict of per-symbol
     arrays (leading axis = symbol) that holds at least ``"c"`` and ``"x"``.
     Every state array that is written in place, ``"c"`` and ``"x"`` by this
-    loop and any buffer the step reuses, must be the engine's own: it may not
-    share memory with ``c_o``, ``x_raw`` or another state array.
+    loop and any buffer the step reuses, must be the engine's own (a
+    projection handed over through ``raw=`` is): it may not share memory
+    with ``c_o``, ``x_raw`` or another state array.
     ``step(c_o, state)`` updates every symbol's ``state`` in place, row by
     row, and returns ``(residual, mu)``: the per-symbol squared step, which
     the stop at ``params.eps`` compares, and the FCPO multiplier, whose
@@ -81,7 +108,8 @@ def run_sweeps(c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step,
     if np.any(np.abs(c_o[..., plan.free_idx]) > 0):
         raise ValueError("input symbols must have zero free carriers")
 
-    x_raw = dsp.ifft_oversampled(c_o, oversample)
+    if x_raw is None:
+        x_raw = dsp.ifft_oversampled(c_o, oversample)
     bypassed = dsp.papr(x_raw) <= params.alpha
     state = start(c_o, x_raw)
     done, stops = bypassed.copy(), bypassed

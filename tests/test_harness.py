@@ -889,9 +889,14 @@ def test_driver_rows_independent_of_workers(driver):
 
 @pytest.mark.parametrize("driver", ["run_table2", "run_ccdf", "run_psd", "run_ber"])
 def test_one_time_domain_batch_alive(driver, monkeypatch):
-    batch_refs, c_refs = [], []
+    batch_refs, c_refs, engine_refs, engine_rows = [], [], [], []
     solve_batch, sspa = experiments.solve_batch, experiments.sspa
     cfg = ExperimentConfig().with_overrides(n_symbols=16, iterations=2, channel="multipath")
+    # four row blocks of four symbols
+    block_rows = 4
+    monkeypatch.setattr(
+        experiments, "BLOCK_SAMPLES", block_rows * cfg.oversample * cfg.n_carriers
+    )
 
     def tracking_solve_batch(cfg_, solver, c_o, plan, beta=None):
         gc.collect()
@@ -906,6 +911,18 @@ def test_one_time_domain_batch_alive(driver, monkeypatch):
         c_refs.append(weakref.ref(c))
         return x, c, active
 
+    def tracking_engine(engine):
+        def solve(c_o, *args, **kwargs):
+            gc.collect()
+            # every earlier engine call's x and report is gone before the next
+            assert all(ref() is None for ref in engine_refs), len(engine_refs)
+            engine_rows.append(len(c_o))
+            x, c, report = engine(c_o, *args, **kwargs)
+            engine_refs.extend([weakref.ref(x), weakref.ref(report)])
+            return x, c, report
+
+        return solve
+
     def tracking_sspa(x, a_sat=None):
         out = sspa(x, a_sat)
         batch_refs.append(weakref.ref(out))
@@ -913,9 +930,16 @@ def test_one_time_domain_batch_alive(driver, monkeypatch):
 
     monkeypatch.setattr(experiments, "solve_batch", tracking_solve_batch)
     monkeypatch.setattr(experiments, "sspa", tracking_sspa)
+    for name in ("direct_solve", "relax_solve"):
+        monkeypatch.setattr(experiments, name, tracking_engine(getattr(experiments, name)))
     getattr(experiments, driver)(cfg)
-    solves = 2 * len(experiments.BETA_GRID) if driver == "run_table2" else len(experiments.SOLVERS)
-    assert len(c_refs) == solves
+    # no engine call sees more than one row block
+    assert engine_rows and max(engine_rows) <= block_rows
+    if driver == "run_table2":
+        # one pass of row blocks solves the whole grid: no batch is ever built
+        assert not c_refs
+    else:
+        assert len(c_refs) == len(experiments.SOLVERS)
 
 
 @pytest.mark.parametrize("driver", ["run_table2", "run_ccdf", "run_psd"])
@@ -945,35 +969,46 @@ def test_beta_grid_ascends():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_table2_evaluates_full_solves(seed, workers, monkeypatch):
     # the c whose EVM each (engine, beta) row reports equals a full solve of
-    # the batch at that beta, bit for bit, though after the first beta only
-    # the rows flagged at the previous beta are solved again
+    # the batch at that beta, bit for bit, though at the last beta only the
+    # rows flagged at the beta before are solved again
     cfg = ExperimentConfig().with_overrides(n_symbols=200, seed=seed, workers=workers)
-    evaluated, solved_rows = [], []
-    evm_db, solve_batch = metrics.evm_db, experiments.solve_batch
+    evaluated, calls = [], []
+    evm_db = metrics.evm_db
 
     def recording_evm(c, c_o, plan):
-        evaluated.append(c.copy())  # the walk writes the next beta into c
+        evaluated.append(c.copy())  # the walk writes the last beta into c
         return evm_db(c, c_o, plan)
 
-    def recording_solve_batch(cfg, solver, c_o, *args, **kwargs):
-        solved_rows.append(len(c_o))
-        return solve_batch(cfg, solver, c_o, *args, **kwargs)
+    def recording(solver, engine):
+        def solve(c_o, plan, params, *args, **kwargs):
+            calls.append((solver, params.beta, len(c_o)))  # atomic on every thread
+            return engine(c_o, plan, params, *args, **kwargs)
+
+        return solve
 
     monkeypatch.setattr(metrics, "evm_db", recording_evm)
-    monkeypatch.setattr(experiments, "solve_batch", recording_solve_batch)
+    for solver in ("direct", "relax"):
+        name = f"{solver}_solve"
+        monkeypatch.setattr(experiments, name, recording(solver, getattr(experiments, name)))
     rows = experiments.run_table2(cfg)
+    monkeypatch.undo()
+    solved_rows = {}
+    for solver, beta, n_rows in calls:
+        solved_rows[solver, beta] = solved_rows.get((solver, beta), 0) + n_rows
     plan, _, _, c_o = experiments._symbols(cfg, cfg.n_symbols)
     pairs = [(solver, beta) for solver in ("direct", "relax") for beta in experiments.BETA_GRID]
     assert [row[:2] for row in rows[1:]] == pairs
-    assert len(evaluated) == len(solved_rows) == len(pairs)
+    assert len(evaluated) == len(pairs) and set(solved_rows) <= set(pairs)
+    last = experiments.BETA_GRID[-1]
     flagged = None
-    for (solver, beta), c, n_rows in zip(pairs, evaluated, solved_rows):
-        _, want, active = solve_batch(cfg, solver, c_o, plan, beta=beta)
+    for (solver, beta), c in zip(pairs, evaluated):
+        _, want, active = experiments.solve_batch(cfg, solver, c_o, plan, beta=beta)
         assert np.array_equal(c, want), (solver, beta)
-        assert n_rows == (cfg.n_symbols if beta == 0.0 else flagged), (solver, beta)
+        n_rows = flagged if beta == last else cfg.n_symbols
+        assert solved_rows.get((solver, beta), 0) == n_rows, (solver, beta)
         flagged = active.sum()
     # the stock config binds on a few direct rows at beta 0.15
-    assert 0 < solved_rows[2] < cfg.n_symbols
+    assert 0 < solved_rows["direct", last] < cfg.n_symbols
 
 
 def test_psd_curves_peak_at_zero_db():

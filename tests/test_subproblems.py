@@ -14,6 +14,9 @@ from papradmm import (
     z_projection,
 )
 
+from papradmm.subproblems import _clip_scale, _magnitudes
+from papradmm.sweep import row_norm
+
 PLAN2 = CarrierPlan(2, data_idx=[0], free_idx=[1])
 
 
@@ -122,6 +125,59 @@ def random_feasible_z(rng, n, alpha, count):
     return feasible[:count]
 
 
+def c_update_by_division(v, plan, beta, r):
+    """``c_update``'s former form: complex gathers divided by real divisors."""
+    v_data = np.take(v, plan.data_idx, axis=-1)
+    v_free = np.take(v, plan.free_idx, axis=-1)
+    c = np.empty_like(v)
+    if beta == 0.0:
+        c[..., plan.data_idx] = np.divide(v_data, 1.0 + r)
+        c[..., plan.free_idx] = 0.0
+        return c, np.full(v.shape[:-1], np.inf)
+    d_norm, f_norm = row_norm(v_data), row_norm(v_free)
+    sb = np.sqrt(beta)
+    numer = (1.0 + r) * f_norm - sb * r * d_norm
+    mu = np.maximum(0.0, numer / (2.0 * (beta * f_norm + sb * d_norm)))
+    c[..., plan.data_idx] = np.divide(v_data, (1.0 + r - 2.0 * mu * beta)[..., None])
+    c[..., plan.free_idx] = np.divide(v_free, (r + 2.0 * mu)[..., None])
+    return c, mu
+
+
+def magnitudes_counted(b):
+    """``_magnitudes``' former form, which counted the nonzero entries of every batch."""
+    flat = b.reshape(-1, b.shape[-1])
+    mag = np.abs(flat)
+    return flat, mag, np.count_nonzero(mag, axis=-1)
+
+
+def clip_scale_reversed(mag, mag_sq, n_nonzero, alpha):
+    """``_clip_scale``'s former form, which divided a reversed view of the tail."""
+    n = mag.shape[-1]
+    cap_sq = alpha / n
+    k = np.arange(n)
+    room = 1.0 - k * cap_sq
+    k_max = np.count_nonzero(room > 0.0)
+    tail = np.sort(mag_sq, axis=-1)
+    np.cumsum(tail, axis=-1, out=tail)
+    tail = tail[:, ::-1][:, :k_max]
+    two_gamma_sq = np.divide(tail, room[:k_max], out=tail)
+    short = np.flatnonzero(n_nonzero < k_max)
+    if short.size:
+        admissible = k[:k_max] < n_nonzero[short, None]
+        two_gamma_sq[short] = np.where(admissible, two_gamma_sq[short], np.inf)
+    two_gamma = np.sqrt(two_gamma_sq.min(axis=-1))
+    saturated = (n_nonzero * cap_sq < 1.0 - 1e-14) & (n_nonzero > 0)
+    scale = np.divide(mag, np.sqrt(cap_sq), out=mag)
+    np.maximum(two_gamma[:, None], scale, out=scale)
+    np.divide(1.0, scale, out=scale)
+    return scale, two_gamma, np.flatnonzero(saturated)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # c_update
 # ---------------------------------------------------------------------------
@@ -149,6 +205,22 @@ class TestCUpdate:
         assert np.all(c[:, plan.free_idx] == 0.0)
         assert np.allclose(c[:, plan.data_idx], v[:, plan.data_idx] / 4.0)
         assert np.all(np.isinf(mu))
+
+    @pytest.mark.parametrize("beta", [0.0, 0.15])
+    @pytest.mark.parametrize("magnitude", [1.0, 1e-150, 1e150])
+    def test_reciprocals_keep_the_bits_of_the_division(self, beta, magnitude):
+        rng = np.random.default_rng(31)
+        plan = CarrierPlan.default(64, 12)
+        v = rng.normal(size=(40, 64)) + 1j * rng.normal(size=(40, 64))
+        # free-carrier weights from far inside the bound to far outside it
+        v[:, plan.free_idx] *= np.geomspace(1e-3, 1e2, 40)[:, None]
+        v *= magnitude
+        r = 100.0 / 256
+        c, mu = c_update(v, plan, beta, r)
+        c_want, mu_want = c_update_by_division(v, plan, beta, r)
+        assert same_bits(c, c_want) and same_bits(mu, mu_want)
+        if beta > 0.0:
+            assert 0 < np.count_nonzero(mu == 0.0) < len(mu)
 
     def test_rejects_negative_beta_and_zero_input(self):
         with pytest.raises(ValueError):
@@ -306,6 +378,40 @@ class TestZProjection:
     def test_alpha_below_one_rejected(self):
         with pytest.raises(ValueError):
             z_projection(np.ones(4), alpha=0.5)
+
+
+class TestProjectionBookkeeping:
+    # the nonzero count and the clip-rule minimum keep the bits of their
+    # former forms on every kind of row the projection branches on
+
+    @staticmethod
+    def batch(kind):
+        rng = np.random.default_rng(37)
+        b = rng.normal(size=(12, 256)) + 1j * rng.normal(size=(12, 256))
+        if kind == "zeros":
+            b[1, ::3] = 0.0  # short of nonzero entries
+            b[2, 2:] = 0.0  # two nonzero entries: saturated
+        elif kind == "underflow":
+            b[3, :100] = 1e-170  # |b|^2 underflows to 0 while |b| > 0
+            b[4] = 1e-170
+        elif kind == "degenerate":
+            b[5] = 0.0
+        return b
+
+    @pytest.mark.parametrize("kind", ["dense", "zeros", "underflow", "degenerate"])
+    @pytest.mark.parametrize("alpha", [10**0.4, 16.0])
+    def test_bits_of_the_former_helpers(self, kind, alpha):
+        b = self.batch(kind)
+        flat, mag, n_nonzero = _magnitudes(b, alpha)
+        flat_want, mag_want, n_want = magnitudes_counted(b)
+        assert same_bits(flat, flat_want) and same_bits(mag, mag_want)
+        assert same_bits(n_nonzero, n_want)
+        if kind == "underflow":
+            assert np.any((mag > 0) & (mag * mag == 0))
+        got = _clip_scale(mag, mag * mag, n_nonzero, alpha)
+        want = clip_scale_reversed(mag_want, mag_want * mag_want, n_want, alpha)
+        for a, w in zip(got, want):
+            assert same_bits(a, w)
 
 
 class TestXUpdate:

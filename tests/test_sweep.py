@@ -10,6 +10,7 @@ pins the loop's own contract: a stopped row ends with the state of its stop
 sweep, however long the others sweep on.
 """
 
+import dataclasses
 import functools
 import tracemalloc
 from itertools import combinations
@@ -58,14 +59,14 @@ def tone_row():
     return c
 
 
-def solve(engine, c_o, beta=0.15, max_iters=5, eps=1e-8, **kwargs):
+def solve(engine, c_o, beta=0.15, max_iters=5, eps=1e-8, raw=None, **kwargs):
     if engine == "direct":
         params = AdmmParams(alpha=ALPHA, beta=beta, rho=100.0, max_iters=max_iters, eps=eps)
-        return direct_solve(c_o, PLAN, params, 4)
+        return direct_solve(c_o, PLAN, params, 4, raw=raw)
     params = AdmmParams(
         alpha=ALPHA, beta=beta, rho=300.0, rho_tilde=100.0, max_iters=max_iters, eps=eps
     )
-    return relax_solve(c_o, PLAN, params, 4, **kwargs)
+    return relax_solve(c_o, PLAN, params, 4, raw=raw, **kwargs)
 
 
 def final_state(engine, rep):
@@ -148,6 +149,61 @@ class TestOwnership:
         fft_oversampled(b, 4)
         for a, k in zip(inputs, kept):
             assert a.tobytes() == k.tobytes()
+
+
+class TestRawStart:
+    """``raw=`` hands an engine the raw signal and, optionally, its projection."""
+
+    @pytest.mark.parametrize(
+        "engine,kwargs", [("direct", {}), ("relax", {}), ("relax", {"certify": True})]
+    )
+    @pytest.mark.parametrize("batch", ["single_row", "with_bypassed"])
+    @pytest.mark.parametrize("projected", [True, False])
+    def test_a_raw_start_keeps_every_bit(self, engine, kwargs, batch, projected):
+        rng = np.random.default_rng(6)
+        if batch == "single_row":
+            c_o = random_symbols(rng, 1)[0]
+        else:
+            c_o = np.vstack([random_symbols(rng, 3), tone_row(), random_symbols(rng, 2)])
+        x_raw = ifft_oversampled(c_o, 4)
+        kept = x_raw.copy()
+        x_proj = x_update(x_raw, ALPHA) if projected else None
+        loose = {"max_iters": 8, "eps": LOOSE_EPS[engine], **kwargs}
+        x, c, rep = solve(engine, c_o, raw=(x_raw, x_proj), **loose)
+        x_want, c_want, rep_want = solve(engine, c_o, **loose)
+        assert x_raw.tobytes() == kept.tobytes()
+        assert not np.shares_memory(x, x_raw) and not np.shares_memory(c, x_raw)
+        assert x.shape == x_want.shape and x.tobytes() == x_want.tobytes()
+        assert c.shape == c_want.shape and c.tobytes() == c_want.tobytes()
+        if batch == "with_bypassed":
+            assert rep.bypassed.tolist() == [False] * 3 + [True] + [False] * 2
+        for field in dataclasses.fields(rep):
+            got, want = getattr(rep, field.name), getattr(rep_want, field.name)
+            if want is None:
+                assert got is None, field.name
+            else:
+                got, want = np.asarray(got), np.asarray(want)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), field.name
+
+    @pytest.mark.parametrize("engine", ["direct", "relax"])
+    def test_a_mismatched_shape_is_rejected(self, engine):
+        c_o = random_symbols(np.random.default_rng(6), 3)
+        x_raw = ifft_oversampled(c_o, 4)
+        for raw in (
+            (x_raw[:2], None),
+            (x_raw[0], None),
+            (x_raw, x_raw[:, :128]),
+            (ifft_oversampled(c_o, 2), None),
+            (None, x_raw),
+        ):
+            with pytest.raises(ValueError, match="shape"):
+                solve(engine, c_o, raw=raw)
+
+    def test_a_feasible_start_takes_no_raw_start(self):
+        c_o = random_symbols(np.random.default_rng(6), 3)
+        x_raw = ifft_oversampled(c_o, 4)
+        with pytest.raises(ValueError, match="feasible_start"):
+            solve("relax", c_o, feasible_start=True, raw=(x_raw, None))
 
 
 def test_loop_holds_the_state_of_each_stopped_row():
