@@ -123,6 +123,10 @@ class CarrierPlan:
         combined = np.concatenate([data, free])
         if combined.size != n or np.any(np.sort(combined) != np.arange(n)):
             raise ValueError("data_idx and free_idx must disjointly cover 0..N-1")
+        # per-carrier data mask, for subproblems.c_update's one multiply
+        is_data = np.zeros(n, dtype=bool)
+        is_data[data] = True
+        object.__setattr__(self, "_is_data", is_data)
 
     @property
     def n_data(self) -> int:

@@ -273,20 +273,14 @@ def admm_params(
     )
 
 
-def _solve_chunk(cfg, solver, c_o, plan, beta=None):
-    """(x, c, fcpo_active) for one chunk; c is the solver's frequency-domain output.
-
-    ``fcpo_active`` is the engine report's flag; ``none`` and ``rcf`` have no
-    FCPO bound and flag every row.
-    """
+def _solve_chunk(cfg, solver, c_o, plan):
+    """The time-domain signal ``x`` that ``solver`` transmits for one chunk."""
     if solver == "none":
-        return dsp.ifft_oversampled(c_o, cfg.oversample), c_o, np.ones(len(c_o), dtype=bool)
+        return dsp.ifft_oversampled(c_o, cfg.oversample)
     if solver == "rcf":
-        x = rcf(c_o, plan, cfg.alpha_db, cfg.oversample)
-        return x, dsp.fft_oversampled(x, cfg.oversample), np.ones(len(c_o), dtype=bool)
+        return rcf(c_o, plan, cfg.alpha_db, cfg.oversample)
     solve = direct_solve if solver == "direct" else relax_solve
-    x, c, report = solve(c_o, plan, admm_params(cfg, solver=solver, beta=beta), cfg.oversample)
-    return x, c, report.fcpo_active
+    return solve(c_o, plan, admm_params(cfg, solver=solver), cfg.oversample)[0]
 
 
 def _c_and_flags(solved):
@@ -320,36 +314,30 @@ def _run_blocks(workers: int, n_rows: int, row_samples: int, task) -> list:
         return [future.result() for future in futures]
 
 
-def solve_batch(cfg: ExperimentConfig, solver: str, c_o, plan, beta=None):
+def solve_batch(cfg: ExperimentConfig, solver: str, c_o, plan):
     """Dispatch one symbol batch to a solver in fixed row blocks.
 
-    Returns ``(x, c, fcpo_active)``.  :func:`_run_blocks` cuts the batch on
-    ``cfg.workers`` threads, and every block is solved on its own and written
-    in place into preallocated ``x``, ``c`` and ``fcpo_active``, the engine
-    reports' flag of the rows whose FCPO multiplier was positive in some
-    sweep; an unflagged row has the same bits at any larger ``beta``.
-    ``none`` and ``rcf`` flag every row.  Each symbol's solve does not depend
-    on the other symbols in its block, so the result does not depend on
-    ``cfg.workers``, on where the block boundaries fall or on which other
-    rows share the batch.  A batch of no rows returns arrays of no rows.
-    ``run_ber`` cuts its own row-block passes the same way, through
-    :func:`_run_blocks`: after each solve, a transmit pass over the returned
-    ``x`` on ``cfg.workers`` threads; after the last solve, the link stage
-    over the stored carrier spectra, on one.
+    Returns the time-domain batch ``x`` that the solver transmits, at
+    ``cfg.beta``.  :func:`_run_blocks` cuts the batch on ``cfg.workers``
+    threads, and every block is solved on its own and written in place into
+    a preallocated ``x``.  Each symbol's solve does not depend on the other
+    symbols in its block, so the result does not depend on ``cfg.workers``,
+    on where the block boundaries fall or on which other rows share the
+    batch.  A batch of no rows returns an array of no rows.  ``run_ber``
+    cuts its own row-block passes the same way, through :func:`_run_blocks`:
+    after each solve, a transmit pass over the returned ``x`` on
+    ``cfg.workers`` threads; after the last solve, the link stage over the
+    stored carrier spectra, on one.
     """
     c_o = np.atleast_2d(c_o)
     n_rows, n_carriers = c_o.shape
     x = np.empty((n_rows, cfg.oversample * n_carriers), dtype=np.complex128)
-    c = np.empty((n_rows, n_carriers), dtype=np.complex128)
-    fcpo_active = np.empty(n_rows, dtype=bool)
 
     def solve_block(lo, hi):
-        x[lo:hi], c[lo:hi], fcpo_active[lo:hi] = _solve_chunk(
-            cfg, solver, c_o[lo:hi], plan, beta
-        )
+        x[lo:hi] = _solve_chunk(cfg, solver, c_o[lo:hi], plan)
 
     _run_blocks(cfg.workers, n_rows, x.shape[1], solve_block)
-    return x, c, fcpo_active
+    return x
 
 
 def write_csv(path, rows):
@@ -459,7 +447,7 @@ def run_ccdf(cfg: ExperimentConfig):
     plan, _, _, c_o = _symbols(cfg, cfg.n_symbols)
     rows = [("solver", "threshold_db", "ccdf")]
     for solver in SOLVERS:
-        papr = dsp.papr_db(solve_batch(cfg, solver, c_o, plan)[0])
+        papr = dsp.papr_db(solve_batch(cfg, solver, c_o, plan))
         curve = metrics.ccdf(papr, CCDF_THRESHOLDS_DB)
         label = "original" if solver == "none" else solver
         for t, p in zip(CCDF_THRESHOLDS_DB, curve):
@@ -561,7 +549,7 @@ def run_ber(cfg: ExperimentConfig):
     clean = np.empty((n_solvers, cfg.n_symbols, cfg.n_carriers), dtype=np.complex128)
     scales = np.empty((n_solvers, n_points))  # sqrt(var / 2) per Eb/N0 point
     for k, solver in enumerate(SOLVERS):
-        x = solve_batch(cfg, solver, c_o, plan)[0]
+        x = solve_batch(cfg, solver, c_o, plan)
         a_sat = saturation_amplitude(x) if cfg.pa_enabled else None
 
         def transmit_block(lo, hi):
@@ -658,7 +646,7 @@ def run_psd(cfg: ExperimentConfig):
     plan, _, _, c_o = _symbols(cfg, n_symbols)
     rows = [("solver", "freq_norm", "psd_db")]
     for solver in SOLVERS:
-        x = solve_batch(cfg, solver, c_o, plan)[0]
+        x = solve_batch(cfg, solver, c_o, plan)
         if cfg.pa_enabled:
             a_sat = saturation_amplitude(x)
 

@@ -6,7 +6,8 @@
 * :func:`z_projection` / :func:`x_update` -- projection of a time-domain point
   onto the set of signals with PAPR at most ``alpha``, via the factorization
   ``x = t*z`` with ``||z||^2 = 1`` and per-sample caps ``|z_i|^2 <= alpha/n``,
-  where the cap multiplier ``gamma`` is solved exactly from one sort per row.
+  where the cap multiplier ``gamma`` is solved exactly from one sort per row
+  and that row's prefix sums, which run two rows per dependency chain.
 * :func:`uw_update` -- closed-form joint minimizer of the two auxiliary
   consensus blocks used by the relaxed engine, at its multipliers y2 = -y1.
 
@@ -39,7 +40,7 @@ def c_update(v, plan: CarrierPlan, beta: float, r: float):
         raise ValueError(f"beta must be >= 0, got {beta}")
     if r <= 0:
         raise ValueError(f"r must be > 0, got {r}")
-    # one gather per carrier set; each is scaled in place into c below
+    # one gather per carrier set, for the norms (and, at beta = 0, the data)
     v_data = np.take(v, plan.data_idx, axis=-1)
     v_free = np.take(v, plan.free_idx, axis=-1)
     d_norm = row_norm(v_data)
@@ -49,8 +50,10 @@ def c_update(v, plan: CarrierPlan, beta: float, r: float):
 
     # Multiplying by the reciprocal of a positive real divisor has the bits
     # of the complex division, which reduces to it, without its cost.
-    c = np.empty_like(v)
     if beta == 0.0:
+        # scattered, not multiplied: a pinned free carrier must be +0.0, and
+        # v * 0.0 can give -0.0
+        c = np.empty_like(v)
         c[..., plan.data_idx] = np.multiply(v_data, 1.0 / (1.0 + r), out=v_data)
         c[..., plan.free_idx] = 0.0
         return c, np.full(v.shape[:-1], np.inf)
@@ -64,12 +67,14 @@ def c_update(v, plan: CarrierPlan, beta: float, r: float):
     numer = (1.0 + r) * f_norm - sb * r * d_norm
     denom = 2.0 * (beta * f_norm + sb * d_norm)
     mu = np.maximum(0.0, numer / denom)
-    # both divisors are positive: 2*mu*beta < 1 + r while ||v_D|| > 0
-    c[..., plan.data_idx] = np.multiply(
-        v_data, (1.0 / (1.0 + r - 2.0 * mu * beta))[..., None], out=v_data
+    # both divisors are positive: 2*mu*beta < 1 + r while ||v_D|| > 0; one
+    # multiply by each carrier's factor, with the bits of a scale per set
+    factor = np.where(
+        plan._is_data,
+        (1.0 / (1.0 + r - 2.0 * mu * beta))[..., None],
+        (1.0 / (r + 2.0 * mu))[..., None],
     )
-    c[..., plan.free_idx] = np.multiply(v_free, (1.0 / (r + 2.0 * mu))[..., None], out=v_free)
-    return c, mu
+    return np.multiply(v, factor), mu
 
 
 def _clip_scale(mag, mag_sq, n_nonzero, alpha: float):
@@ -82,20 +87,34 @@ def _clip_scale(mag, mag_sq, n_nonzero, alpha: float):
     scale is finite but not their direction, so the callers replace those rows
     with :func:`_saturated_direction`.
     """
-    n = mag.shape[-1]
+    rows, n = mag.shape
     cap_sq = alpha / n
-    # Only k with room 1 - k*cap_sq > 0 are admissible, so the sort's tail is
+    # Only k with room 1 - k*cap_sq > 0 are admissible, so the sums are
     # divided on those columns alone; on rows with fewer nonzero entries, the
     # columns k >= n_nonzero are masked to inf.
     k_max = np.count_nonzero(1.0 - np.arange(n) * cap_sq > 0.0)
-    # tail[:, j] sums the j + 1 smallest squares (squaring is monotone, so
-    # sorting the squares sorts the magnitudes); its last k_max columns, a
-    # contiguous slice, hold S_k for k = k_max - 1 down to 0
     k = np.arange(k_max - 1, -1, -1)
+    room = 1.0 - k * cap_sq
+    # Prefix sums of each row's sorted squares (squaring is monotone, so
+    # sorting the squares sorts the magnitudes), two rows per chain: row i
+    # sits in the real lane of pair[i] and row half + i in its imaginary lane
+    # (an odd batch's spare lane is zero).  A complex add adds its lanes
+    # apart, so each lane has the bits of its row's float cumsum, in half as
+    # many dependent adds.  The rows are sorted contiguous and then copied
+    # into the lanes, which is faster than sorting the strided lanes.
+    # Column j sums the j + 1 smallest squares, so the last k_max columns
+    # hold S_k for k = k_max - 1 down to 0.
+    half = rows - rows // 2
+    pair = np.empty((half, n), dtype=np.complex128)
     tail = np.sort(mag_sq, axis=-1)
-    np.cumsum(tail, axis=-1, out=tail)
-    tail = tail[:, n - k_max:]
-    two_gamma_sq = np.divide(tail, 1.0 - k * cap_sq, out=tail)
+    pair.real = tail[:half]
+    pair.imag[:rows - half] = tail[half:]
+    pair.imag[rows - half:] = 0.0
+    del tail
+    np.cumsum(pair, axis=-1, out=pair)
+    two_gamma_sq = np.empty((rows, k_max))
+    np.divide(pair.real[:, n - k_max:], room, out=two_gamma_sq[:half])
+    np.divide(pair.imag[:rows - half, n - k_max:], room, out=two_gamma_sq[half:])
     short = np.flatnonzero(n_nonzero < k_max)
     if short.size:
         admissible = k < n_nonzero[short, None]
@@ -153,7 +172,10 @@ def z_projection(b, alpha: float):
     so the crossing is the smallest ``gamma_k``; it is also the first ``k``
     whose uncapped head fits under the cap.  Only ``k`` below the number of
     nonzero entries is admissible: when all of them sit exactly at the cap,
-    ``k = n_nonzero - 1`` gives that limit.
+    ``k = n_nonzero - 1`` gives that limit.  The ``S_k`` are exact prefix
+    sums of the sorted squares, taken two rows per chain in the two lanes of
+    one complex cumsum: each row gets the bits of its own float cumsum, in
+    either lane and in any batch.
 
     The phase of a zero entry is taken as 0.  If so many entries of ``b`` are
     zero that even ``gamma -> 0`` cannot reach unit energy, the remaining

@@ -161,15 +161,24 @@ class TestDeterminism:
         assert rows1 == rows2
 
     def test_worker_count_does_not_change_results(self):
+        # 64 rows: one block on one thread, two blocks of 32 on two
         base = ExperimentConfig().with_overrides(iterations=3)
         c_o, plan = _batch(base, 64)
-        threaded = base.with_overrides(workers=2)
-        for solver in ("direct", "relax"):
+        for solver, solve in (("direct", direct_solve), ("relax", relax_solve)):
             for beta in experiments.BETA_GRID:
-                x1, c1, active1 = experiments.solve_batch(base, solver, c_o, plan, beta)
-                x2, c2, active2 = experiments.solve_batch(threaded, solver, c_o, plan, beta)
-                assert np.array_equal(x1, x2) and np.array_equal(c1, c2), (solver, beta)
-                assert np.array_equal(active1, active2), (solver, beta)
+                cfg = base.with_overrides(beta=beta)
+                params = experiments.admm_params(cfg, solver=solver)
+                x, c, report = solve(c_o, plan, params, cfg.oversample)
+                for workers in (1, 2):
+                    x_blocks = experiments.solve_batch(
+                        cfg.with_overrides(workers=workers), solver, c_o, plan
+                    )
+                    assert np.array_equal(x_blocks, x), (solver, beta, workers)
+                # the c and flags of the two-thread cut are the whole batch's
+                halves = [solve(c_o[lo:lo + 32], plan, params, cfg.oversample) for lo in (0, 32)]
+                assert np.array_equal(np.concatenate([h[1] for h in halves]), c), (solver, beta)
+                active = np.concatenate([h[2].fcpo_active for h in halves])
+                assert np.array_equal(active, report.fcpo_active), (solver, beta)
 
     def test_row_alone_matches_row_in_batch(self):
         cfg = ExperimentConfig()
@@ -300,7 +309,7 @@ class TestBlockedDispatch:
         c_o, plan = _batch(cfg, 300)
         block_rows = experiments.BLOCK_SAMPLES // (cfg.oversample * cfg.n_carriers)
         assert block_rows < 300  # so the batch spans several blocks
-        x_ref, c_ref, active_ref = experiments._solve_chunk(cfg, solver, c_o, plan)
+        x_ref = experiments._solve_chunk(cfg, solver, c_o, plan)
         rows = []
         module, name = self.SOLVER_CALL[solver]
         original = getattr(module, name)
@@ -312,15 +321,12 @@ class TestBlockedDispatch:
         monkeypatch.setattr(module, name, recording)
         for workers in (1, 2):
             rows.clear()
-            x, c, active = experiments.solve_batch(
-                cfg.with_overrides(workers=workers), solver, c_o, plan
-            )
-            assert np.array_equal(x, x_ref) and np.array_equal(c, c_ref), workers
-            assert np.array_equal(active, active_ref), workers
+            x = experiments.solve_batch(cfg.with_overrides(workers=workers), solver, c_o, plan)
+            assert np.array_equal(x, x_ref), workers
             assert max(rows) <= block_rows and sum(rows) == 300, (workers, rows)
             if workers == 1:
-                # no view that pins a larger transform (rcf's c did)
-                assert x.base is None and c.base is None
+                # no view that pins a larger array
+                assert x.base is None
 
     def test_working_set_is_per_block(self):
         cfg = ExperimentConfig().with_overrides(iterations=2)
@@ -329,11 +335,11 @@ class TestBlockedDispatch:
         for n_rows in (1024, 4096):
             tracemalloc.start()
             try:
-                x, c, _ = experiments.solve_batch(cfg, "relax", c_o[:n_rows], plan)
+                x = experiments.solve_batch(cfg, "relax", c_o[:n_rows], plan)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            excess[n_rows] = peak - x.nbytes - c.nbytes
+            excess[n_rows] = peak - x.nbytes
         assert excess[4096] <= 1.25 * excess[1024], excess
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -362,7 +368,7 @@ class TestBlockedDispatch:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         cfg = ExperimentConfig().with_overrides(workers=cpus + 3)
         c_o, plan = _batch(cfg, 2 * cfg.workers)
-        x = experiments.solve_batch(cfg, "none", c_o, plan)[0]
+        x = experiments.solve_batch(cfg, "none", c_o, plan)
         assert np.array_equal(x, dsp.ifft_oversampled(c_o, cfg.oversample))
         assert seen == ([cpus] if cpus > 1 else [])
 
@@ -374,10 +380,8 @@ class TestBlockedDispatch:
         calls = {name: 0 for name in ("_solve_chunk", "ThreadPoolExecutor")}
         count_calls(monkeypatch, experiments, "_solve_chunk", calls)
         count_calls(monkeypatch, experiments, "ThreadPoolExecutor", calls)
-        x, c, active = experiments.solve_batch(cfg, solver, c_o[:0], plan)
+        x = experiments.solve_batch(cfg, solver, c_o[:0], plan)
         assert x.shape == (0, cfg.oversample * cfg.n_carriers) and x.dtype == complex
-        assert c.shape == (0, cfg.n_carriers) and c.dtype == complex
-        assert active.shape == (0,) and active.dtype == bool
         assert calls == {"_solve_chunk": 0, "ThreadPoolExecutor": 0}
 
 
@@ -871,7 +875,7 @@ class TestBerLinkStage:
         plan, const, _, c_o = experiments._symbols(cfg, cfg.n_symbols)
         want = []
         for solver in experiments.SOLVERS:
-            x = experiments.solve_batch(cfg, solver, c_o, plan)[0]
+            x = experiments.solve_batch(cfg, solver, c_o, plan)
             c_tx = dsp.fft_oversampled(x, cfg.oversample)
             es_bar = float(np.mean(np.linalg.norm(c_tx, axis=-1) ** 2))
             want.append(es_bar / (plan.n_data * const.bits_per_symbol))
@@ -889,7 +893,7 @@ def test_driver_rows_independent_of_workers(driver):
 
 @pytest.mark.parametrize("driver", ["run_table2", "run_ccdf", "run_psd", "run_ber"])
 def test_one_time_domain_batch_alive(driver, monkeypatch):
-    batch_refs, c_refs, engine_refs, engine_rows = [], [], [], []
+    batch_refs, engine_refs, engine_rows, solved = [], [], [], []
     solve_batch, sspa = experiments.solve_batch, experiments.sspa
     cfg = ExperimentConfig().with_overrides(n_symbols=16, iterations=2, channel="multipath")
     # four row blocks of four symbols
@@ -898,18 +902,15 @@ def test_one_time_domain_batch_alive(driver, monkeypatch):
         experiments, "BLOCK_SAMPLES", block_rows * cfg.oversample * cfg.n_carriers
     )
 
-    def tracking_solve_batch(cfg_, solver, c_o, plan, beta=None):
+    def tracking_solve_batch(cfg_, solver, c_o, plan):
         gc.collect()
         # every earlier solve's x, and every amplified signal, is gone before
-        # the next solve starts, and every earlier c before a solve of the
-        # whole batch
+        # the next solve starts
         assert all(ref() is None for ref in batch_refs), len(batch_refs)
-        if len(c_o) == cfg.n_symbols:
-            assert all(ref() is None for ref in c_refs), len(c_refs)
-        x, c, active = solve_batch(cfg_, solver, c_o, plan, beta)
+        solved.append(solver)
+        x = solve_batch(cfg_, solver, c_o, plan)
         batch_refs.append(weakref.ref(x))
-        c_refs.append(weakref.ref(c))
-        return x, c, active
+        return x
 
     def tracking_engine(engine):
         def solve(c_o, *args, **kwargs):
@@ -937,9 +938,9 @@ def test_one_time_domain_batch_alive(driver, monkeypatch):
     assert engine_rows and max(engine_rows) <= block_rows
     if driver == "run_table2":
         # one pass of row blocks solves the whole grid: no batch is ever built
-        assert not c_refs
+        assert not solved
     else:
-        assert len(c_refs) == len(experiments.SOLVERS)
+        assert solved == list(experiments.SOLVERS)
 
 
 @pytest.mark.parametrize("driver", ["run_table2", "run_ccdf", "run_psd"])
@@ -1002,11 +1003,13 @@ def test_table2_evaluates_full_solves(seed, workers, monkeypatch):
     last = experiments.BETA_GRID[-1]
     flagged = None
     for (solver, beta), c in zip(pairs, evaluated):
-        _, want, active = experiments.solve_batch(cfg, solver, c_o, plan, beta=beta)
+        engine = getattr(experiments, f"{solver}_solve")
+        params = experiments.admm_params(cfg, solver=solver, beta=beta)
+        _, want, report = engine(c_o, plan, params, cfg.oversample)
         assert np.array_equal(c, want), (solver, beta)
         n_rows = flagged if beta == last else cfg.n_symbols
         assert solved_rows.get((solver, beta), 0) == n_rows, (solver, beta)
-        flagged = active.sum()
+        flagged = report.fcpo_active.sum()
     # the stock config binds on a few direct rows at beta 0.15
     assert 0 < solved_rows["direct", last] < cfg.n_symbols
 

@@ -143,6 +143,23 @@ def c_update_by_division(v, plan, beta, r):
     return c, mu
 
 
+def c_update_scattered(v, plan, beta, r):
+    """``c_update``'s former form at ``beta > 0``: each carrier set's gather
+    scaled in place by its reciprocal and scattered into ``c``."""
+    v_data = np.take(v, plan.data_idx, axis=-1)
+    v_free = np.take(v, plan.free_idx, axis=-1)
+    d_norm, f_norm = row_norm(v_data), row_norm(v_free)
+    sb = np.sqrt(beta)
+    numer = (1.0 + r) * f_norm - sb * r * d_norm
+    mu = np.maximum(0.0, numer / (2.0 * (beta * f_norm + sb * d_norm)))
+    c = np.empty_like(v)
+    c[..., plan.data_idx] = np.multiply(
+        v_data, (1.0 / (1.0 + r - 2.0 * mu * beta))[..., None], out=v_data
+    )
+    c[..., plan.free_idx] = np.multiply(v_free, (1.0 / (r + 2.0 * mu))[..., None], out=v_free)
+    return c, mu
+
+
 def magnitudes_counted(b):
     """``_magnitudes``' former form, which counted the nonzero entries of every batch."""
     flat = b.reshape(-1, b.shape[-1])
@@ -151,7 +168,8 @@ def magnitudes_counted(b):
 
 
 def clip_scale_reversed(mag, mag_sq, n_nonzero, alpha):
-    """``_clip_scale``'s former form, which divided a reversed view of the tail."""
+    """``_clip_scale``'s former form, which summed each row in a float cumsum
+    and divided a reversed view of the tail."""
     n = mag.shape[-1]
     cap_sq = alpha / n
     k = np.arange(n)
@@ -220,6 +238,23 @@ class TestCUpdate:
         c_want, mu_want = c_update_by_division(v, plan, beta, r)
         assert same_bits(c, c_want) and same_bits(mu, mu_want)
         if beta > 0.0:
+            assert 0 < np.count_nonzero(mu == 0.0) < len(mu)
+
+    @pytest.mark.parametrize("magnitude", [1.0, 1e-150, 1e150])
+    @pytest.mark.parametrize("shape", [(40,), (4, 10), ()])
+    def test_one_multiply_keeps_the_bits_of_the_scatters(self, magnitude, shape):
+        rng = np.random.default_rng(32)
+        plan = CarrierPlan.default(64, 12)
+        v = rng.normal(size=(*shape, 64)) + 1j * rng.normal(size=(*shape, 64))
+        # rows with mu = 0 and rows with mu > 0, and signed zeros in both sets
+        weights = np.geomspace(1e-3, 1e2, 40)[:v[..., 0].size].reshape(shape)
+        v[..., plan.free_idx] *= np.asarray(weights)[..., None]
+        v[..., [0, 5]] = complex(-0.0, 0.0)
+        v *= magnitude
+        c, mu = c_update(v, plan, 0.15, 100.0 / 256)
+        c_want, mu_want = c_update_scattered(v, plan, 0.15, 100.0 / 256)
+        assert same_bits(c, c_want) and same_bits(mu, mu_want)
+        if shape == (40,):
             assert 0 < np.count_nonzero(mu == 0.0) < len(mu)
 
     def test_rejects_negative_beta_and_zero_input(self):
@@ -382,26 +417,30 @@ class TestZProjection:
 
 class TestProjectionBookkeeping:
     # the nonzero count and the clip-rule minimum keep the bits of their
-    # former forms on every kind of row the projection branches on
+    # former forms on every kind of row the projection branches on, at odd
+    # row counts (a zero spare lane in the paired prefix sums) and even ones
 
     @staticmethod
-    def batch(kind):
+    def batch(kind, rows=12):
         rng = np.random.default_rng(37)
-        b = rng.normal(size=(12, 256)) + 1j * rng.normal(size=(12, 256))
+        b = rng.normal(size=(rows, 256)) + 1j * rng.normal(size=(rows, 256))
         if kind == "zeros":
-            b[1, ::3] = 0.0  # short of nonzero entries
-            b[2, 2:] = 0.0  # two nonzero entries: saturated
+            b[1 % rows, ::3] = 0.0  # short of nonzero entries
+            b[2 % rows, 2:] = 0.0  # two nonzero entries: saturated
         elif kind == "underflow":
-            b[3, :100] = 1e-170  # |b|^2 underflows to 0 while |b| > 0
-            b[4] = 1e-170
+            b[3 % rows, :100] = 1e-170  # |b|^2 underflows to 0 while |b| > 0
+            b[-1] = 1e-170
         elif kind == "degenerate":
-            b[5] = 0.0
+            b[5 % rows] = 0.0
+        elif kind == "saturated":
+            b[:, 3:] = 0.0  # every row saturates
         return b
 
-    @pytest.mark.parametrize("kind", ["dense", "zeros", "underflow", "degenerate"])
-    @pytest.mark.parametrize("alpha", [10**0.4, 16.0])
-    def test_bits_of_the_former_helpers(self, kind, alpha):
-        b = self.batch(kind)
+    @pytest.mark.parametrize("rows", [1, 2, 3, 12, 125])
+    @pytest.mark.parametrize("kind", ["dense", "zeros", "underflow", "degenerate", "saturated"])
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 10**0.4, 16.0])
+    def test_bits_of_the_former_helpers(self, rows, kind, alpha):
+        b = self.batch(kind, rows)
         flat, mag, n_nonzero = _magnitudes(b, alpha)
         flat_want, mag_want, n_want = magnitudes_counted(b)
         assert same_bits(flat, flat_want) and same_bits(mag, mag_want)
@@ -412,6 +451,29 @@ class TestProjectionBookkeeping:
         want = clip_scale_reversed(mag_want, mag_want * mag_want, n_want, alpha)
         for a, w in zip(got, want):
             assert same_bits(a, w)
+
+
+    @pytest.mark.parametrize("alpha", [1.0, 10**0.4, 16.0])
+    def test_row_bits_independent_of_its_lane(self, alpha):
+        # the prefix sums run two rows per chain, so a row sits in the real
+        # or the imaginary lane, or beside the zero spare lane of an odd
+        # batch; its projection must not depend on which
+        pool = self.batch("zeros", 6)
+        pool[3, :100] = 1e-170
+        pool[4, 3:] = 0.0
+        alone = [(x_update(row, alpha), *z_projection(row, alpha)) for row in pool]
+        rng = np.random.default_rng(38)
+        batches = [[i, j] for i in range(6) for j in range(6)]
+        batches += [np.roll(np.arange(5), k) for k in range(5)]
+        batches += [rng.integers(0, 6, size=125)]
+        for rows in batches:
+            x = x_update(pool[rows], alpha)
+            z, gamma = z_projection(pool[rows], alpha)
+            for pos, i in enumerate(rows):
+                want_x, want_z, want_gamma = alone[i]
+                assert same_bits(x[pos], want_x), (len(rows), pos, i)
+                assert same_bits(z[pos], want_z), (len(rows), pos, i)
+                assert same_bits(gamma[pos], want_gamma), (len(rows), pos, i)
 
 
 class TestXUpdate:
