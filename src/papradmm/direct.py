@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import dsp
 from .params import AdmmParams
 from .subproblems import c_update, x_update, z_projection
-from .sweep import SweepReport, row_norm, run_sweeps, split_raw
+from .sweep import SweepReport, row_norm, run_sweeps
 
 
 @dataclass
@@ -69,10 +69,9 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
     raw : tuple, optional
         ``(x_raw, x_proj)`` for a caller that solves the same rows more than
         once: the raw signal ``ifft_oversampled(c_o, oversample)`` and its
-        projection ``x_update(x_raw, params.alpha)``, or ``None`` in its
-        place.  The start takes ``x_proj`` over and writes into it, so it
-        may not share memory with ``x_raw``; the result has the bits of a
-        call without ``raw``.
+        projection ``x_update(x_raw, params.alpha)``.  Both are read-only
+        and may be shared by any number of solves; the result has the bits
+        of a call without ``raw`` (see :func:`papradmm.sweep.run_sweeps`).
 
     Returns
     -------
@@ -85,16 +84,11 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
     """
     rho = params.rho
     r = rho / (plan.n_carriers * oversample)
-    x_raw, x_proj = split_raw(raw, c_o, oversample)
-    # the start hands x_proj to the state, so that a sweep can free it
-    del raw
 
-    def start(c_o, x_raw):
-        nonlocal x_proj
-        x, x_proj = x_proj, None
+    def start(c_o, x_raw, x_proj):
         return {
             "c": c_o.copy(),
-            "x": x_update(x_raw, params.alpha) if x is None else x,
+            "x": x_update(x_raw, params.alpha) if x_proj is None else x_proj,
             "ys": np.zeros_like(x_raw),
             "mu": np.zeros(c_o.shape[0]),
         }
@@ -106,18 +100,18 @@ def direct_solve(c_o, plan: dsp.CarrierPlan, params: AdmmParams, oversample: int
         c_new, mu = c_update(v, plan, params.beta, r)
         ac = dsp.ifft_oversampled(c_new, oversample)
         x_new = x_update(np.add(ac, ys, out=b), params.alpha)
-        # the dual step ys + (ac - x') is built in ac, and the x step in the
-        # old x, which no longer belongs to the state
+        # the dual step ys + (ac - x') is built in ac, and the x step in b,
+        # which x_update has spent; the old x may be the caller's x_proj
         np.subtract(ac, x_new, out=ac)
         ys_new = np.add(ys, ac, out=ac)
-        change = row_norm(c_new - c) ** 2 + row_norm(np.subtract(x_new, x, out=x)) ** 2
+        change = row_norm(c_new - c) ** 2 + row_norm(np.subtract(x_new, x, out=b)) ** 2
         s.update(c=c_new, x=x_new, ys=ys_new, mu=mu)
         return change, mu
 
     def report(c_o, s, ran, **fields):
         return DirectReport(**fields, y_final=rho * s["ys"], mu_final=s["mu"])
 
-    return run_sweeps(c_o, plan, params, oversample, start, step, report, x_raw)
+    return run_sweeps(c_o, plan, params, oversample, start, step, report, raw)
 
 
 def direct_kkt_residual(

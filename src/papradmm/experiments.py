@@ -360,12 +360,13 @@ def run_table2(cfg: ExperimentConfig):
 
     One :func:`_run_blocks` pass solves the whole grid.  Each row block
     builds its raw signal and that signal's PAPR projection once, and every
-    (engine, beta) solve of the block starts from the pair (the engines'
-    ``raw=``), which depends on neither.  Each engine solves the
-    block in full at every beta but the last, in ``BETA_GRID`` order, and at
-    the last beta re-solves only the rows whose FCPO bound was active at the
-    one before (``fcpo_active``); every other row keeps its ``c``, with the
-    bits a full solve would give it.  The reuse is exact:
+    (engine, beta) solve of the block reads the pair (the engines'
+    ``raw=``), which depends on neither and which no solve writes.  Each
+    engine solves the block in full at every beta but the last, in
+    ``BETA_GRID`` order, and at the last beta re-solves only the rows whose
+    FCPO bound was active at the one before (``fcpo_active``); every other
+    row keeps its ``c``, with the bits a full solve would give it.  The
+    reuse is exact:
 
     * ``c_update``'s multiplier is ``max(0, ((1+r)*||v_F|| -
       sqrt(beta)*r*||v_D||) / denom)``.  For the same ``v``, a larger beta
@@ -381,12 +382,10 @@ def run_table2(cfg: ExperimentConfig):
     * A row's solve does not depend on its batch (see :func:`solve_batch`),
       so a re-solved subset, or a block, gets the bits of the full batch.
 
-    Every solve but the last full one starts from a copy of the projection,
-    which the engine writes into; the last takes it over.  Of each solve
-    only ``c`` and the flags are kept: the engine's ``x`` and report are
-    freed as it returns.  The full solves' ``c`` go into one batch array,
-    and each engine's last-beta rows are written over its ``c`` at the beta
-    before, once that beta's EVM is taken.
+    Of each solve only ``c`` and the flags are kept: the engine's ``x`` and
+    report are freed as it returns.  The full solves' ``c`` go into one
+    batch array, and each engine's last-beta rows are written over its ``c``
+    at the beta before, once that beta's EVM is taken.
     """
     plan, _, _, c_o = _symbols(cfg, cfg.n_symbols)
     n_rows, n_carriers = c_o.shape
@@ -408,21 +407,14 @@ def run_table2(cfg: ExperimentConfig):
         for e, solver in enumerate(engines):
             engine = direct_solve if solver == "direct" else relax_solve
             for b, beta in enumerate(full):
-                # An engine writes into its start, so every full solve but the
-                # last gets a copy, made in the call so that the engine holds
-                # it alone and its sweeps free it.
-                takes = e == len(engines) - 1 and b == len(full) - 1
                 c[e, b, lo:hi], active = _c_and_flags(engine(
-                    c_blk, plan, params[solver, beta], cfg.oversample,
-                    raw=(x_raw, x_proj if takes else x_proj.copy()),
+                    c_blk, plan, params[solver, beta], cfg.oversample, raw=(x_raw, x_proj)
                 ))
-                if takes:
-                    x_proj = None
             redo = np.flatnonzero(active)
             if redo.size:
                 c_redo, _ = _c_and_flags(engine(
                     c_blk[redo], plan, params[solver, last], cfg.oversample,
-                    raw=(x_raw[redo], None if x_proj is None else x_proj[redo]),
+                    raw=(x_raw[redo], x_proj[redo]),
                 ))
                 resolved[e] = lo + redo, c_redo
         return resolved

@@ -1,5 +1,7 @@
 """Shared engine parameters and the dB-to-linear helper."""
 
+import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -31,11 +33,18 @@ class AdmmParams:
     eps: float = 1e-8
 
     def __post_init__(self):
+        # NaN passes every range check below, since it compares false
+        for key in ("alpha", "beta", "rho", "rho_tilde"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+        if math.isnan(self.eps):
+            raise ValueError("eps must not be NaN")
         if self.alpha < 1.0:
             raise ValueError(f"alpha must be >= 1 (linear), got {self.alpha}")
         if self.beta < 0.0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if self.rho <= 0.0:
             raise ValueError(f"rho must be > 0, got {self.rho}")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")

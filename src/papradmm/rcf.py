@@ -40,6 +40,10 @@ def rcf(c_o, plan: dsp.CarrierPlan, target_papr_db: float, oversample: int) -> n
     if target_papr_db <= 0.0:
         raise ValueError("target PAPR must be > 0 dB")
     c_o = dsp._as_complex(c_o)
+    if c_o.shape[-1] != plan.n_carriers:
+        raise ValueError(
+            f"input symbols have {c_o.shape[-1]} carriers, the plan {plan.n_carriers}"
+        )
     single = c_o.ndim == 1
     c = np.atleast_2d(c_o).copy()
     target = db_to_linear(target_papr_db)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import dsp
 from .params import AdmmParams
 from .subproblems import c_update, uw_update, x_update
-from .sweep import SweepReport, row_norm, run_sweeps, split_raw
+from .sweep import SweepReport, row_norm, run_sweeps
 
 # Slack of the descent check, relative to the size of the Lagrangian drop
 DESCENT_REL_TOL = 1e-8
@@ -162,9 +162,9 @@ def relax_solve(
     With ``certify=True`` every sweep also records the Lagrangian and the
     multiplier identities, and the descent sides are read off the Lagrangian
     trace after the last sweep (see :class:`RelaxReport`); the iterates do
-    not depend on it.  ``raw=(x_raw, x_proj)`` hands over the raw signal
-    and its projection as for :func:`papradmm.direct.direct_solve`; it
-    cannot be combined with ``feasible_start``, which builds its own start.
+    not depend on it.  ``raw=(x_raw, x_proj)`` gives the raw signal and
+    its projection, read-only, as for :func:`papradmm.direct.direct_solve`;
+    it cannot be combined with ``feasible_start``, which builds its own start.
 
     Returns ``(x, c, report)`` like the direct engine.
     """
@@ -179,26 +179,22 @@ def relax_solve(
         raise ValueError("raw= gives the projected start; feasible_start builds its own")
     rho, rho_tilde = params.rho, params.rho_tilde
     r = rho / (plan.n_carriers * oversample)
-    x_raw, x_proj = split_raw(raw, c_o, oversample)
-    # the start hands x_proj to the state, so that a sweep can free it
-    del raw
     # y1/rho = (rho_tilde/rho)*(u - w)
     tie = rho_tilde / rho
     # the initial Lagrangian, then one per sweep of a certified run
     lagrangians, identities = [], []
     sd_dist_initial = feasible = None
 
-    def start(c_o, x_raw):
-        nonlocal sd_dist_initial, feasible, x_proj
+    def start(c_o, x_raw, x_proj):
+        nonlocal sd_dist_initial, feasible
+        # the sweeps replace ac and x unwritten, so the start may share them
         if feasible_start:
             c, ac, feasible = feasible_start_state(c_o, plan, params, oversample)
-            x = ac.copy()
+            x = ac
         else:
-            # From c = c_o, A c is x_raw itself; the sweeps never write into ac.
+            # from c = c_o, A c is x_raw itself
             c, ac = c_o.copy(), x_raw
-            x, x_proj = x_proj, None
-            if x is None:
-                x = x_update(x_raw, params.alpha)
+            x = x_update(x_raw, params.alpha) if x_proj is None else x_proj
         # Starting with u = w keeps y1 = rho_tilde*(u - w) = 0 true at the very
         # first state, so the sufficient-descent margin provably covers every
         # sweep, the first one included.
@@ -273,7 +269,7 @@ def relax_solve(
             feasible_start=feasible,
         )
 
-    return run_sweeps(c_o, plan, params, oversample, start, step, report, x_raw)
+    return run_sweeps(c_o, plan, params, oversample, start, step, report, raw)
 
 
 def iteration_complexity_bound(report: RelaxReport, params: AdmmParams, eps: float):

@@ -36,6 +36,8 @@ def c_update(v, plan: CarrierPlan, beta: float, r: float):
     where the free carriers are pinned to zero exactly).
     """
     v = _as_complex(v)
+    if v.shape[-1] != plan.n_carriers:
+        raise ValueError(f"v has {v.shape[-1]} carriers, the plan {plan.n_carriers}")
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     if r <= 0:

@@ -52,41 +52,25 @@ class SweepReport:
     residual: np.ndarray
 
 
-def split_raw(raw, c_o, oversample: int):
-    """``(x_raw, x_proj)`` of an engine's ``raw=`` argument, or ``(None, None)``.
-
-    ``raw`` is the pair of the raw signal ``ifft_oversampled(c_o,
-    oversample)`` and its PAPR projection, each shaped like that transform;
-    ``x_proj`` may be ``None``.  A mismatched shape raises ``ValueError``.
-    Both are returned as 2-D batches; ``x_proj`` is not copied.
-    """
-    if raw is None:
-        return None, None
-    x_raw, x_proj = raw
-    shape = np.shape(c_o)[:-1] + (oversample * np.shape(c_o)[-1],)
-
-    def checked(name, a):
-        if np.shape(a) != shape:
-            raise ValueError(f"{name} has shape {np.shape(a)}, expected {shape}")
-        return np.atleast_2d(dsp._as_complex(a))
-
-    return checked("x_raw", x_raw), None if x_proj is None else checked("x_proj", x_proj)
-
-
 def run_sweeps(
-    c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step, report, x_raw=None
+    c_o, plan: dsp.CarrierPlan, params, oversample: int, start, step, report, raw=None
 ):
     """Run an engine's sweeps until every symbol stops; return ``(x, c, report)``.
 
-    ``x_raw``, if given, is the 2-D raw signal ``ifft_oversampled(c_o,
-    oversample)`` of a caller that already holds it (see :func:`split_raw`);
-    the loop reads it and never writes it.
-    ``start(c_o, x_raw)`` returns the initial state: a dict of per-symbol
-    arrays (leading axis = symbol) that holds at least ``"c"`` and ``"x"``.
-    Every state array that is written in place, ``"c"`` and ``"x"`` by this
-    loop and any buffer the step reuses, must be the engine's own (a
-    projection handed over through ``raw=`` is): it may not share memory
-    with ``c_o``, ``x_raw`` or another state array.
+    ``raw``, if given, is the pair ``(x_raw, x_proj)`` of the raw signal
+    ``ifft_oversampled(c_o, oversample)`` and its projection
+    ``x_update(x_raw, params.alpha)``, each shaped like that transform (a
+    mismatched shape raises ``ValueError``).  Both are read-only, so any
+    number of solves may share one pair; the result has the bits of a call
+    without ``raw`` and shares no memory with the pair.
+    ``start(c_o, x_raw, x_proj)``, with ``x_proj = None`` when no pair is
+    given, returns the initial state: a dict of per-symbol arrays (leading
+    axis = symbol) that holds at least ``"c"`` and ``"x"``.  Every state
+    array written in place must be the engine's own, sharing memory with
+    neither ``c_o``, the pair nor another state array.  The loop writes into
+    ``"c"`` and into the arrays a step leaves in the state, and replaces
+    ``"x"``, so a start may hold ``x_raw`` or ``x_proj`` where each step
+    replaces it unwritten.
     ``step(c_o, state)`` updates every symbol's ``state`` in place, row by
     row, and returns ``(residual, mu)``: the per-symbol squared step, which
     the stop at ``params.eps`` compares, and the FCPO multiplier, whose
@@ -95,23 +79,34 @@ def run_sweeps(
     on another.  The loop copies a symbol's state right before the first step
     after its stop (before the first step, if it is bypassed), writes it back
     after the last sweep and records a zero step for it from its stop on.
-    Then the raw signal and ``c_o`` go into the bypassed rows of ``"x"`` and
-    ``"c"``, and ``report(c_o, state, ran, **fields)`` builds the engine's
-    report from the checked 2-D input, the final state, each symbol's sweep
-    count (its stop sweep included) and the :class:`SweepReport` fields.
+    Then the raw signal and ``c_o`` go into the bypassed rows of ``"x"``, as
+    a new array (after no sweep, too), and of ``"c"``, and ``report(c_o,
+    state, ran, **fields)`` builds the engine's report from the checked 2-D
+    input, the final state, each symbol's sweep count (its stop sweep
+    included) and the :class:`SweepReport` fields.
     """
     c_o = dsp._as_complex(c_o)
     single = c_o.ndim == 1
+    raw_shape = c_o.shape[:-1] + (oversample * c_o.shape[-1],)
     c_o = np.atleast_2d(c_o)
+    if c_o.shape[-1] != plan.n_carriers:
+        raise ValueError(
+            f"input symbols have {c_o.shape[-1]} carriers, the plan {plan.n_carriers}"
+        )
     if not np.all(np.isfinite(c_o)):
         raise ValueError("input symbols must be finite (found NaN or inf)")
     if np.any(np.abs(c_o[..., plan.free_idx]) > 0):
         raise ValueError("input symbols must have zero free carriers")
 
-    if x_raw is None:
-        x_raw = dsp.ifft_oversampled(c_o, oversample)
+    if raw is None:
+        x_raw, x_proj = dsp.ifft_oversampled(c_o, oversample), None
+    else:
+        for name, a in zip(("x_raw", "x_proj"), raw):
+            if np.shape(a) != raw_shape:
+                raise ValueError(f"{name} has shape {np.shape(a)}, expected {raw_shape}")
+        x_raw, x_proj = (np.atleast_2d(dsp._as_complex(a)) for a in raw)
     bypassed = dsp.papr(x_raw) <= params.alpha
-    state = start(c_o, x_raw)
+    state = start(c_o, x_raw, x_proj)
     done, stops = bypassed.copy(), bypassed
     ran = np.zeros(len(c_o), dtype=int)
     fcpo_active = np.zeros(len(c_o), dtype=bool)
@@ -120,7 +115,8 @@ def run_sweeps(
     for _ in range(params.max_iters):
         if np.all(done):
             break
-        # hold, then step; write back only at the end: a start array may be x_raw
+        # hold, then step; write back only at the end: a start array may be
+        # x_raw or x_proj
         if np.any(stops):
             held.append((stops, {k: v[stops] for k, v in state.items()}))
         residual, mu = step(c_o, state)
@@ -134,8 +130,9 @@ def run_sweeps(
     for stops, rows in held:
         for k, v in rows.items():
             state[k][stops] = v
-    if bypassed.any():
-        np.copyto(state["x"], x_raw, where=bypassed[:, None])
+    if bypassed.any() or not residuals:
+        # a new array: after no sweep, "x" is still the start's
+        state["x"] = np.where(bypassed[:, None], x_raw, state["x"])
         np.copyto(state["c"], c_o, where=bypassed[:, None])
     residual = np.array(residuals).reshape(len(residuals), len(c_o))
     rep = report(

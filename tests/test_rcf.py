@@ -71,6 +71,14 @@ def test_param_validation():
             rcf(c_o, PLAN, target_db, 4)
 
 
+@pytest.mark.parametrize("n_carriers", [32, 128])
+def test_a_carrier_count_off_the_plan_is_rejected(n_carriers):
+    c_o = np.zeros((2, n_carriers), dtype=complex)
+    c_o[:, PLAN.data_idx[PLAN.data_idx < n_carriers]] = 1.0
+    with pytest.raises(ValueError, match=f"{n_carriers} carriers, the plan 64"):
+        rcf(c_o, PLAN, 4.0, 4)
+
+
 def reference_clip(x, amplitude):
     """The clip rule with a ``where``-guarded divide and ``minimum``."""
     mag = np.abs(x)

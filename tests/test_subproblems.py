@@ -263,6 +263,13 @@ class TestCUpdate:
         with pytest.raises(DegenerateSymbolError):
             c_update(np.zeros(2), PLAN2, beta=0.5, r=1.0)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.15])
+    @pytest.mark.parametrize("n_carriers", [32, 128])
+    def test_a_carrier_count_off_the_plan_is_rejected(self, beta, n_carriers):
+        v = np.random.default_rng(24).standard_normal((3, n_carriers)) + 0j
+        with pytest.raises(ValueError, match=f"{n_carriers} carriers, the plan 64"):
+            c_update(v, CarrierPlan.default(64, 12), beta, 0.4)
+
     def test_rows_alone_match_the_batch_with_the_bound_active(self):
         rng = np.random.default_rng(23)
         plan = CarrierPlan.default(64, 12)

@@ -1,13 +1,14 @@
 """The sweep loop's in-place contract, shared by both engines.
 
 The engines write their state in place, so these tests pin what that must
-never change: the caller's input, the independence of the returned arrays,
-the working set of one row block and the bits of every row, whatever batch
-it is solved in.  They also pin what the drivers rely on: a row whose FCPO
-bound never bound (``fcpo_active`` False) keeps its bits at a larger beta,
-and both engines commute with scaling and rotating the input.  A toy step
-pins the loop's own contract: a stopped row ends with the state of its stop
-sweep, however long the others sweep on.
+never change: the caller's input, a ``raw=`` pair that solves share, the
+independence of the returned arrays, the working set of one row block and
+the bits of every row, whatever batch it is solved in.  They also pin what
+the drivers rely on: a row whose FCPO bound never bound (``fcpo_active``
+False) keeps its bits at a larger beta, and both engines commute with
+scaling and rotating the input.  A toy step pins the loop's own contract: a
+stopped row ends with the state of its stop sweep, however long the others
+sweep on.
 """
 
 import dataclasses
@@ -56,6 +57,13 @@ def tone_row():
     """A single data carrier: PAPR 1, so every engine bypasses it."""
     c = np.zeros(PLAN.n_carriers, dtype=complex)
     c[PLAN.data_idx[3]] = 1.0
+    return c
+
+
+def two_tone_row():
+    """Two data carriers: PAPR 2, bypassed, and its projection differs in the last bits."""
+    c = np.zeros(PLAN.n_carriers, dtype=complex)
+    c[PLAN.data_idx[[3, 5]]] = 1.0
     return c
 
 
@@ -152,31 +160,13 @@ class TestOwnership:
 
 
 class TestRawStart:
-    """``raw=`` hands an engine the raw signal and, optionally, its projection."""
+    """``raw=`` gives an engine the raw signal and its projection, read-only."""
 
-    @pytest.mark.parametrize(
-        "engine,kwargs", [("direct", {}), ("relax", {}), ("relax", {"certify": True})]
-    )
-    @pytest.mark.parametrize("batch", ["single_row", "with_bypassed"])
-    @pytest.mark.parametrize("projected", [True, False])
-    def test_a_raw_start_keeps_every_bit(self, engine, kwargs, batch, projected):
-        rng = np.random.default_rng(6)
-        if batch == "single_row":
-            c_o = random_symbols(rng, 1)[0]
-        else:
-            c_o = np.vstack([random_symbols(rng, 3), tone_row(), random_symbols(rng, 2)])
-        x_raw = ifft_oversampled(c_o, 4)
-        kept = x_raw.copy()
-        x_proj = x_update(x_raw, ALPHA) if projected else None
-        loose = {"max_iters": 8, "eps": LOOSE_EPS[engine], **kwargs}
-        x, c, rep = solve(engine, c_o, raw=(x_raw, x_proj), **loose)
-        x_want, c_want, rep_want = solve(engine, c_o, **loose)
-        assert x_raw.tobytes() == kept.tobytes()
-        assert not np.shares_memory(x, x_raw) and not np.shares_memory(c, x_raw)
+    @staticmethod
+    def assert_same_result(got, want):
+        (x, c, rep), (x_want, c_want, rep_want) = got, want
         assert x.shape == x_want.shape and x.tobytes() == x_want.tobytes()
         assert c.shape == c_want.shape and c.tobytes() == c_want.tobytes()
-        if batch == "with_bypassed":
-            assert rep.bypassed.tolist() == [False] * 3 + [True] + [False] * 2
         for field in dataclasses.fields(rep):
             got, want = getattr(rep, field.name), getattr(rep_want, field.name)
             if want is None:
@@ -185,16 +175,62 @@ class TestRawStart:
                 got, want = np.asarray(got), np.asarray(want)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), field.name
 
+    @pytest.mark.parametrize(
+        "engine,kwargs", [("direct", {}), ("relax", {}), ("relax", {"certify": True})]
+    )
+    @pytest.mark.parametrize("batch", ["single_row", "with_bypassed"])
+    @pytest.mark.parametrize("max_iters", [0, 8])
+    def test_a_raw_start_keeps_every_bit(self, engine, kwargs, batch, max_iters):
+        rng = np.random.default_rng(6)
+        if batch == "single_row":
+            c_o = random_symbols(rng, 1)[0]
+        else:
+            c_o = np.vstack([random_symbols(rng, 3), tone_row(), random_symbols(rng, 2)])
+        x_raw = ifft_oversampled(c_o, 4)
+        x_proj = x_update(x_raw, ALPHA)
+        kept = x_raw.copy()
+        loose = {"max_iters": max_iters, "eps": LOOSE_EPS[engine], **kwargs}
+        x, c, rep = solve(engine, c_o, raw=(x_raw, x_proj), **loose)
+        assert x_raw.tobytes() == kept.tobytes()
+        for a in (x_raw, x_proj):
+            assert not np.shares_memory(x, a) and not np.shares_memory(c, a)
+        if batch == "with_bypassed":
+            assert rep.bypassed.tolist() == [False] * 3 + [True] + [False] * 2
+        self.assert_same_result((x, c, rep), solve(engine, c_o, **loose))
+
+    @pytest.mark.parametrize("max_iters", [0, 8])
+    def test_solves_share_one_pair_unwritten(self, max_iters):
+        rng = np.random.default_rng(7)
+        c_o = np.vstack([random_symbols(rng, 3), two_tone_row(), random_symbols(rng, 2)])
+        x_raw = ifft_oversampled(c_o, 4)
+        x_proj = x_update(x_raw, ALPHA)
+        # so that a bypassed row merged into x_proj would show
+        assert x_proj[3].tobytes() != x_raw[3].tobytes()
+        kept = x_raw.copy(), x_proj.copy()
+        for engine, kwargs in [
+            ("direct", {"beta": 0.0}),
+            ("direct", {"beta": 0.15}),
+            ("relax", {}),
+            ("relax", {"certify": True}),
+        ]:
+            loose = {"max_iters": max_iters, "eps": LOOSE_EPS[engine], **kwargs}
+            got = solve(engine, c_o, raw=(x_raw, x_proj), **loose)
+            assert got[2].bypassed.tolist() == [False] * 3 + [True] + [False] * 2
+            for a, k in zip((x_raw, x_proj), kept):
+                assert a.tobytes() == k.tobytes(), (engine, kwargs)
+            self.assert_same_result(got, solve(engine, c_o, **loose))
+
     @pytest.mark.parametrize("engine", ["direct", "relax"])
     def test_a_mismatched_shape_is_rejected(self, engine):
         c_o = random_symbols(np.random.default_rng(6), 3)
         x_raw = ifft_oversampled(c_o, 4)
+        x_proj = x_update(x_raw, ALPHA)
         for raw in (
-            (x_raw[:2], None),
-            (x_raw[0], None),
+            (x_raw[:2], x_proj),
+            (x_raw[0], x_proj),
             (x_raw, x_raw[:, :128]),
-            (ifft_oversampled(c_o, 2), None),
-            (None, x_raw),
+            (x_raw, x_proj[1]),
+            (ifft_oversampled(c_o, 2), x_proj),
         ):
             with pytest.raises(ValueError, match="shape"):
                 solve(engine, c_o, raw=raw)
@@ -203,7 +239,41 @@ class TestRawStart:
         c_o = random_symbols(np.random.default_rng(6), 3)
         x_raw = ifft_oversampled(c_o, 4)
         with pytest.raises(ValueError, match="feasible_start"):
-            solve("relax", c_o, feasible_start=True, raw=(x_raw, None))
+            solve("relax", c_o, feasible_start=True, raw=(x_raw, x_update(x_raw, ALPHA)))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("engine", ["direct", "relax"])
+    @pytest.mark.parametrize("beta", [0.0, 0.15])
+    @pytest.mark.parametrize("n_carriers", [32, 128])
+    def test_a_carrier_count_off_the_plan_is_rejected(self, engine, beta, n_carriers):
+        # carriers past the plan's are nonzero, carriers on its free set zero
+        c_o = np.zeros((3, n_carriers), dtype=complex)
+        n = min(n_carriers, PLAN.n_carriers)
+        c_o[:, :n] = random_symbols(np.random.default_rng(8), 3)[:, :n]
+        c_o[:, PLAN.n_carriers:] = 1.0 + 0.5j
+        with pytest.raises(ValueError, match=f"{n_carriers} carriers, the plan 64"):
+            solve(engine, c_o, beta=beta)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("alpha", np.nan),
+            ("alpha", np.inf),
+            ("beta", np.nan),
+            ("beta", np.inf),
+            ("rho", np.nan),
+            ("rho", np.inf),
+            ("rho_tilde", np.nan),
+            ("rho_tilde", np.inf),
+            ("eps", np.nan),
+            ("max_iters", 2.5),
+        ],
+    )
+    def test_params_reject_values_the_engines_cannot_run(self, field, value):
+        kwargs = {"alpha": ALPHA, "beta": 0.15, "rho": 300.0, "rho_tilde": 100.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            AdmmParams(**kwargs)
 
 
 def test_loop_holds_the_state_of_each_stopped_row():
@@ -213,7 +283,7 @@ def test_loop_holds_the_state_of_each_stopped_row():
     c_o = np.vstack([random_symbols(rng, 3), tone_row()])
     rates = np.array([0.5, 0.1, 0.9, 0.5])
 
-    def start(c_o, x_raw):
+    def start(c_o, x_raw, x_proj):
         return {"c": c_o.copy(), "x": x_raw / row_norm(x_raw)[:, None], "k": np.zeros(4)}
 
     def step(c_o, s):
